@@ -108,6 +108,7 @@ fn spread_factor(args: &Args) -> Vec<Vec<String>> {
                 args.seed,
                 args.warmup(),
                 args.horizon(),
+                0,
             );
             vec![
                 format!("{factor:.1}"),

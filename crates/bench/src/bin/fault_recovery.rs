@@ -67,8 +67,6 @@ fn main() {
             warmup,
             trace_capacity: 0,
             faults,
-            shards: nexus::default_shards(),
-            threads: nexus::default_threads(),
         },
         classes,
     )
@@ -226,8 +224,6 @@ fn run_flap_once(seed: u64, cooldown: Micros) -> (SimResult, u64) {
             warmup: Micros::from_secs(WARMUP_S),
             trace_capacity: 1 << 21,
             faults,
-            shards: nexus::default_shards(),
-            threads: nexus::default_threads(),
         },
         vec![TrafficClass::new(
             apps::traffic(),

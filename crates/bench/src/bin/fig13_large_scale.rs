@@ -15,7 +15,7 @@ fn main() {
     let horizon = args.horizon();
     let classes = fig13_classes(horizon, 1.0);
 
-    let result = nexus::run_traced(
+    let result = nexus::run_once(
         SystemConfig::nexus()
             .with_epoch(Micros::from_secs(30))
             .with_spread_factor(1.4),

@@ -66,8 +66,6 @@ fn main() {
         seed,
         Micros::from_secs(warmup_secs),
         Micros::from_secs(secs + warmup_secs),
-        1,
-        1,
     );
     println!(
         "hetero smoke: committed {committed:.2} q/s per $/h on '{wname}' -> replayed \

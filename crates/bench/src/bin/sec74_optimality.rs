@@ -61,6 +61,7 @@ fn main() {
         args.seed,
         args.warmup(),
         args.horizon(),
+        0,
     );
 
     print_table(

@@ -36,6 +36,11 @@ fn main() {
     let json = std::fs::read_to_string(&workload_path)
         .unwrap_or_else(|e| fail(format!("cannot read {workload_path:?}: {e}")));
     let w = WorkloadFile::from_json(&json).unwrap_or_else(|e| fail(e));
+    if w.secs == 0 {
+        // An empty measurement window is a constructor panic; a workload
+        // file is outside input, so it gets the clean error instead.
+        fail("\"secs\" must be at least 1: nothing would be measured");
+    }
 
     let device = w.device_type().unwrap_or_else(|e| fail(e));
     let system = w.system_config().unwrap_or_else(|e| fail(e));
@@ -70,8 +75,6 @@ fn main() {
             warmup,
             trace_capacity: if trace_path.is_some() { 2_000_000 } else { 0 },
             faults,
-            shards: nexus::default_shards(),
-            threads: nexus::default_threads(),
         },
         classes,
     )

@@ -148,7 +148,7 @@ pub struct HeteroCell {
     pub pools: Vec<(&'static str, usize, f64, f64, f64)>,
 }
 
-/// Runs one fleet on one workload at a given `(shards, threads)` split.
+/// Runs one fleet on one workload.
 ///
 /// # Panics
 ///
@@ -159,8 +159,6 @@ pub fn run_cell(
     seed: u64,
     warmup: Micros,
     horizon: Micros,
-    shards: usize,
-    threads: usize,
 ) -> HeteroCell {
     let sim = ClusterSim::try_new_pooled(
         SimConfig {
@@ -172,8 +170,6 @@ pub fn run_cell(
             warmup,
             trace_capacity: 0,
             faults: vec![],
-            shards,
-            threads,
         },
         pools.to_vec(),
         classes.to_vec(),

@@ -34,20 +34,6 @@ pub struct Args {
     /// support it run their headline simulation with tracing enabled and
     /// write the capture here (`nexus-trace export` renders it).
     pub trace: Option<PathBuf>,
-    /// Event-loop shard count (`--shards N`, ≥ 1). Sharding is a pure
-    /// scheduling-state partition: results are byte-identical at every
-    /// value, which ci.sh exploits as a determinism gate.
-    pub shards: usize,
-    /// Event-loop worker threads (`--threads N`, ≥ 1; defaults to
-    /// `NEXUS_SIM_THREADS`, else 1). Like shards, a pure execution knob:
-    /// the windowed parallel executor (DESIGN.md §14) is byte-identical
-    /// to the serial loop, and ci.sh diffs threads 1 vs 4 to prove it.
-    pub threads: usize,
-    /// Optional deterministic-summary output path (`--det-out FILE`):
-    /// only run outputs that must not vary between repeat runs (event
-    /// counts, bad-rate bit patterns) — no wall-clock-derived numbers —
-    /// so two files from identical workloads diff byte-for-byte.
-    pub det_out: Option<PathBuf>,
 }
 
 impl Args {
@@ -63,9 +49,6 @@ impl Args {
             quick: false,
             out: None,
             trace: None,
-            shards: 1,
-            threads: nexus::default_threads(),
-            det_out: None,
         };
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
@@ -87,27 +70,9 @@ impl Args {
                 "--trace" => {
                     args.trace = Some(PathBuf::from(it.next().expect("--trace needs a path")))
                 }
-                "--shards" => {
-                    args.shards = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .expect("--shards needs an integer >= 1")
-                }
-                "--threads" => {
-                    args.threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .expect("--threads needs an integer >= 1")
-                }
-                "--det-out" => {
-                    args.det_out = Some(PathBuf::from(it.next().expect("--det-out needs a path")))
-                }
                 other => panic!(
                     "unknown argument {other:?} \
-                     (supported: --seed N --secs N --quick --shards N \
-                     --threads N --out FILE --det-out FILE --trace FILE)"
+                     (supported: --seed N --secs N --quick --out FILE --trace FILE)"
                 ),
             }
         }
@@ -181,30 +146,6 @@ pub fn write_json<T: Serialize>(args: &Args, value: &T) {
     if let Some(path) = &args.out {
         let json = serde_json::to_string_pretty(value).expect("serializable result");
         std::fs::write(path, json).expect("writable --out path");
-        println!("(wrote {})", path.display());
-    }
-}
-
-/// Writes the deterministic subset of a simbench-style series to
-/// `--det-out` (if given): GPU count, event count, and the exact bit
-/// pattern of the bad rate — no wall-clock-derived numbers. Any two runs
-/// of the same workload must produce byte-identical files regardless of
-/// machine noise, `--shards`, or `--threads`; ci.sh diffs them as the
-/// shard- and thread-determinism gates.
-pub fn write_det_json(args: &Args, series: &[(u32, u64, f64, f64, f64)]) {
-    if let Some(path) = &args.det_out {
-        let det: Vec<serde_json::Value> = series
-            .iter()
-            .map(|&(gpus, events, _, _, bad)| {
-                serde_json::json!({
-                    "gpus": gpus,
-                    "events": events,
-                    "bad_rate_bits": format!("{:016x}", bad.to_bits()),
-                })
-            })
-            .collect();
-        let json = serde_json::to_string_pretty(&det).expect("serializable summary");
-        std::fs::write(path, json).expect("writable --det-out path");
         println!("(wrote {})", path.display());
     }
 }

@@ -6,15 +6,8 @@
 //! results in input order, so a sweep's output is byte-identical whether it
 //! ran on one thread or sixteen — the parallelism lives strictly *between*
 //! simulations, never inside one.
-//!
-//! The fan-out rides the same [`WorkerPool`] that powers the simulator's
-//! windowed parallel executor (DESIGN.md §14): one process-wide pool,
-//! spawned on first use and reused across every sweep point and every
-//! `par_map` call, so a sweep binary never pays per-call thread spawns.
 
-use std::sync::{Mutex, OnceLock};
-
-use nexus_simgpu::WorkerPool;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads: `NEXUS_BENCH_THREADS` if set (0 or 1 forces
 /// serial), otherwise the machine's available parallelism.
@@ -31,26 +24,20 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// The process-wide sweep pool, sized once from [`thread_count`] on first
-/// use. `WorkerPool::run` already serializes overlapping calls; the outer
-/// `Mutex` only guards lazy construction and `&self` access.
-fn pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(thread_count()))
-}
-
 /// Applies `f` to every item, fanning across threads, and returns results
 /// in input order.
 ///
-/// Each item is one pool job (the pool's claim counter gives cheap
-/// work-stealing — sweep points vary wildly in cost) writing its result
-/// into a per-index slot, so the output is identical to
-/// `items.iter().map(f).collect()` for any thread count.
+/// Workers pull the next unclaimed index from a shared counter (cheap
+/// work-stealing: sweep points vary wildly in cost), tag each result with
+/// its index, and the merge sorts by index — the output is identical to
+/// `items.iter().map(f).collect()` for any thread count. Threads are
+/// scoped to the call: a sweep binary calls this once, so a persistent
+/// pool would buy nothing.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any invocation of `f` (as the pool's
-/// "parallel worker panicked").
+/// Propagates a panic from any invocation of `f` (as "sweep worker
+/// panicked" when it happened on a worker thread).
 ///
 /// # Examples
 ///
@@ -59,22 +46,34 @@ fn pool() -> &'static WorkerPool {
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// ```
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if thread_count() <= 1 || items.len() <= 1 {
+    let threads = thread_count().min(items.len());
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    pool().run(items.len(), &|i| {
-        let r = f(&items[i]);
-        *slots[i].lock().expect("unpoisoned result slot") = Some(r);
+    // Relaxed: the counter only hands out indices; results travel back
+    // through the join.
+    let next = AtomicUsize::new(0);
+    let mut tagged: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        out.push((i, f(item)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("unpoisoned result slot")
-                .expect("pool ran every job")
-        })
-        .collect()
+    tagged.sort_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -105,8 +104,8 @@ mod tests {
 
     #[test]
     fn pool_is_reused_across_calls() {
-        // Back-to-back sweeps share the process-wide pool; results stay
-        // order-exact on every reuse.
+        // Back-to-back sweeps each get fresh scoped workers and a fresh
+        // index counter; results stay order-exact on every call.
         for round in 0u64..5 {
             let items: Vec<u64> = (0..40).map(|i| i + round * 100).collect();
             let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
@@ -115,13 +114,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parallel worker panicked")]
+    #[should_panic(expected = "sweep worker panicked")]
     fn worker_panic_propagates() {
         // Enough items that workers actually spawn even on small machines.
         let items: Vec<u32> = (0..64).collect();
         if thread_count() < 2 {
             // Serial path panics inline; match the harness expectation.
-            panic!("parallel worker panicked");
+            panic!("sweep worker panicked");
         }
         par_map(&items, |&x| {
             assert!(x != 13, "boom");

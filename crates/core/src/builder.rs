@@ -34,8 +34,6 @@ pub struct NexusClusterBuilder {
     trace_capacity: usize,
     classes: Vec<TrafficClass>,
     faults: Vec<FaultSpec>,
-    shards: usize,
-    threads: usize,
 }
 
 /// Per-session serving parameters derived from a control plan — what a
@@ -66,8 +64,6 @@ impl NexusCluster {
             trace_capacity: 0,
             classes: Vec::new(),
             faults: Vec::new(),
-            shards: 1,
-            threads: 1,
         }
     }
 
@@ -205,26 +201,15 @@ impl NexusClusterBuilder {
         self
     }
 
-    /// Sets the event-loop shard count (≥ 1). Purely a scheduling-state
-    /// partition: results are byte-identical at every value.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the event-loop worker-thread count (≥ 1). At ≥ 2 the windowed
-    /// parallel executor drains shard calendars concurrently (DESIGN.md
-    /// §14); results are byte-identical at every value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Finalizes the builder.
     ///
     /// # Panics
     ///
     /// Panics if no traffic class was added or the cluster has no GPUs.
+    /// A warm-up that does not end before the horizon panics when the
+    /// simulator is constructed ([`NexusCluster::simulate`],
+    /// [`NexusCluster::into_sim`]) — `horizon_secs` clamps the warm-up
+    /// only when it is called after `warmup_secs`.
     pub fn build(self) -> NexusCluster {
         assert!(!self.classes.is_empty(), "add at least one app");
         assert!(self.gpus >= 1, "cluster needs at least one GPU");
@@ -238,8 +223,6 @@ impl NexusClusterBuilder {
                 warmup: self.warmup,
                 trace_capacity: self.trace_capacity,
                 faults: self.faults,
-                shards: self.shards,
-                threads: self.threads,
             },
             classes: self.classes,
         }
@@ -319,6 +302,17 @@ mod tests {
     #[should_panic(expected = "add at least one app")]
     fn empty_builder_panics() {
         let _ = NexusCluster::builder().build();
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-up (10s) must end before the horizon (5s)")]
+    fn warmup_past_horizon_panics() {
+        let _ = NexusCluster::builder()
+            .gpus(4)
+            .app(apps::traffic(), 50.0)
+            .horizon_secs(5)
+            .warmup_secs(10)
+            .simulate();
     }
 
     #[test]

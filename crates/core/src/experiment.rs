@@ -7,7 +7,7 @@
 //! the query-level bad rate against the target.
 
 use nexus_profile::{DeviceType, Micros};
-use nexus_runtime::{ClusterSim, ExecStats, SimConfig, SimResult, SystemConfig, TrafficClass};
+use nexus_runtime::{ClusterSim, SimConfig, SimResult, SystemConfig, TrafficClass};
 
 /// Parameters of a max-goodput search.
 #[derive(Debug, Clone)]
@@ -56,54 +56,17 @@ pub fn max_rate_within(search: &ThroughputSearch, mut probe: impl FnMut(f64) -> 
     lo
 }
 
-/// Default event-loop shard count for the convenience runners, taken from
-/// `NEXUS_SIM_SHARDS` (≥ 1; unset or invalid ⇒ 1).
-///
-/// Sharding is a pure scheduling-state partition — results are
-/// byte-identical at every shard count — so exposing it as an environment
-/// override lets every experiment binary (fig reproductions, trace
-/// capture) run sharded without signature churn, and lets CI diff
-/// sharded-vs-unsharded outputs end to end.
-pub fn default_shards() -> usize {
-    std::env::var("NEXUS_SIM_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
-/// Default event-loop thread count for the convenience runners, taken
-/// from `NEXUS_SIM_THREADS` (≥ 1; unset or invalid ⇒ 1, the serial loop).
-///
-/// Like sharding, threading is a pure execution knob — the windowed
-/// parallel executor (DESIGN.md §14) produces byte-identical results at
-/// every thread count — so every experiment binary honors the override,
-/// and CI diffs threaded-vs-serial outputs end to end.
-pub fn default_threads() -> usize {
-    std::env::var("NEXUS_SIM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
 /// Convenience: one simulation run of `system` over `classes` on a cluster
-/// of `gpus` devices.
-pub fn run_once(
-    system: SystemConfig,
-    device: DeviceType,
-    gpus: u32,
-    classes: Vec<TrafficClass>,
-    seed: u64,
-    warmup: Micros,
-    horizon: Micros,
-) -> SimResult {
-    run_traced(system, device, gpus, classes, seed, warmup, horizon, 0)
-}
-
-/// [`run_once`] with execution tracing: up to `trace_capacity` events are
-/// captured into [`SimResult::trace`] (0 disables capture and is exactly
-/// `run_once` — tracing is off the simulation path).
+/// of `gpus` devices. Up to `trace_capacity` execution-trace events are
+/// captured into [`SimResult::trace`]; 0 disables capture (tracing is off
+/// the simulation path, so results are identical either way).
+///
+/// # Panics
+///
+/// Panics if `warmup >= horizon` or the classes cannot be planned (see
+/// [`ClusterSim::new`]).
 #[allow(clippy::too_many_arguments)]
-pub fn run_traced(
+pub fn run_once(
     system: SystemConfig,
     device: DeviceType,
     gpus: u32,
@@ -123,66 +86,10 @@ pub fn run_traced(
             warmup,
             trace_capacity,
             faults: vec![],
-            shards: default_shards(),
-            threads: default_threads(),
         },
         classes,
     )
     .run()
-}
-
-/// [`run_once`] with explicit event-loop shard and thread counts
-/// (simbench's `--shards`/`--threads`). Output is byte-identical to
-/// `run_once` at any combination.
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_sharded(
-    system: SystemConfig,
-    device: DeviceType,
-    gpus: u32,
-    classes: Vec<TrafficClass>,
-    seed: u64,
-    warmup: Micros,
-    horizon: Micros,
-    shards: usize,
-    threads: usize,
-) -> SimResult {
-    run_once_with_stats(
-        system, device, gpus, classes, seed, warmup, horizon, shards, threads,
-    )
-    .0
-}
-
-/// [`run_once_sharded`], also returning the parallel executor's
-/// work-partition statistics (`None` when `threads <= 1`) — simbench
-/// reports them alongside throughput, outside the deterministic result.
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_with_stats(
-    system: SystemConfig,
-    device: DeviceType,
-    gpus: u32,
-    classes: Vec<TrafficClass>,
-    seed: u64,
-    warmup: Micros,
-    horizon: Micros,
-    shards: usize,
-    threads: usize,
-) -> (SimResult, Option<ExecStats>) {
-    ClusterSim::new(
-        SimConfig {
-            system,
-            device,
-            max_gpus: gpus,
-            seed,
-            horizon,
-            warmup,
-            trace_capacity: 0,
-            faults: vec![],
-            shards,
-            threads,
-        },
-        classes,
-    )
-    .run_with_stats()
 }
 
 /// Measures a system's throughput (max 99%-good rate) for a workload
@@ -207,6 +114,7 @@ pub fn measure_throughput(
             seed,
             warmup,
             horizon,
+            0,
         )
         .query_bad_rate
     })

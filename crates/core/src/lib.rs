@@ -42,10 +42,7 @@ pub mod experiment;
 pub mod workloads;
 
 pub use builder::{NexusCluster, NexusClusterBuilder, ServeSpec};
-pub use experiment::{
-    default_shards, default_threads, max_rate_within, measure_throughput, run_once,
-    run_once_sharded, run_once_with_stats, run_traced, ThroughputSearch,
-};
+pub use experiment::{max_rate_within, measure_throughput, run_once, ThroughputSearch};
 
 // Re-export the component crates under stable names.
 pub use nexus_baseline;
@@ -60,10 +57,7 @@ pub use nexus_workload;
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use crate::builder::{NexusCluster, NexusClusterBuilder, ServeSpec};
-    pub use crate::experiment::{
-        measure_throughput, run_once, run_once_sharded, run_once_with_stats, run_traced,
-        ThroughputSearch,
-    };
+    pub use crate::experiment::{measure_throughput, run_once, ThroughputSearch};
     pub use nexus_profile::{BatchingProfile, DeviceType, Micros, GPU_GTX1080TI, GPU_K80};
     pub use nexus_runtime::{
         run_heterogeneous, ClusterSim, DevicePool, DropPolicy, FaultKind, FaultSpec, HeteroResult,

@@ -93,7 +93,7 @@ fn capture(mut args: std::env::Args) {
     let warmup = Micros::from_secs(2);
     let horizon = Micros::from_secs(opts.secs) + warmup;
     let classes = nexus::workloads::fig13_classes(horizon, opts.scale);
-    let result = nexus::run_traced(
+    let result = nexus::run_once(
         SystemConfig::nexus().with_epoch(Micros::from_secs(2)),
         GPU_K80,
         opts.gpus,

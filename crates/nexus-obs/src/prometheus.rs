@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn exposition_is_well_formed() {
-        let result = nexus::run_traced(
+        let result = nexus::run_once(
             SystemConfig::nexus(),
             GPU_GTX1080TI,
             2,
@@ -435,6 +435,7 @@ mod tests {
             1,
             Micros::from_secs(1),
             Micros::from_secs(3),
+            0,
         );
         let text = render(&result);
         assert!(!text.contains("nexus_drops_total"));

@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn summary_covers_phases_and_occupancy_when_traced() {
-        let result = nexus::run_traced(
+        let result = nexus::run_once(
             SystemConfig::nexus(),
             GPU_GTX1080TI,
             2,
@@ -241,10 +241,11 @@ mod tests {
             1,
             Micros::from_secs(1),
             Micros::from_secs(3),
+            0,
         );
         assert!(render(&untraced).contains("tracing disabled"));
 
-        let tiny = nexus::run_traced(
+        let tiny = nexus::run_once(
             SystemConfig::nexus(),
             GPU_GTX1080TI,
             1,

@@ -8,7 +8,7 @@ use nexus_runtime::{SystemConfig, TraceEvent};
 fn fig13_mini() -> nexus_runtime::SimResult {
     let warmup = Micros::from_secs(2);
     let horizon = Micros::from_secs(3) + warmup;
-    nexus::run_traced(
+    nexus::run_once(
         SystemConfig::nexus().with_epoch(Micros::from_secs(2)),
         GPU_K80,
         4,
@@ -126,6 +126,7 @@ fn tracing_does_not_perturb_the_simulation() {
         42,
         warmup,
         horizon,
+        0,
     );
     assert_eq!(plain.events_processed, traced.events_processed);
     assert_eq!(plain.queries_finished, traced.queries_finished);

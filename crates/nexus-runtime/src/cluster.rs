@@ -21,8 +21,7 @@
 use nexus_profile::{BatchLadder, DeviceType, Micros, SharedProfile};
 use nexus_scheduler::{assign_plans, GpuPlan, SessionId};
 use nexus_simgpu::{
-    ExecStats, FaultKind, FaultSpec, FleetHealth, ParallelShardedQueue, PollOutcome, ResidentKey,
-    SimGpu,
+    EventQueue, FaultKind, FaultSpec, FleetHealth, PollOutcome, ResidentKey, SimGpu,
 };
 use nexus_workload::{poisson_sample, rng_for, ArrivalGen, GammaSpec};
 use rand::rngs::StdRng;
@@ -58,20 +57,6 @@ pub struct SimConfig {
     /// in-flight bookkeeping) — a no-fault run is bit-identical to one
     /// built before fault injection existed.
     pub faults: Vec<FaultSpec>,
-    /// Event-loop shards (≥ 1). Backend-owned events (wakes, batch
-    /// completions) live on their backend group's shard; control-plane
-    /// events on shard 0; cross-shard traffic goes through mailboxes
-    /// (DESIGN.md §13). The merged stream is byte-identical at every
-    /// shard count — this knob partitions scheduling state, never
-    /// behavior.
-    pub shards: usize,
-    /// Event-loop worker threads (≥ 1). At 1 the serial staged-tournament
-    /// loop runs untouched; at ≥ 2 the windowed parallel executor drains
-    /// shard calendars concurrently between rendezvous points (DESIGN.md
-    /// §14), with the drain window derived from the squishy plan's
-    /// duty-cycle bounds. Like `shards`, this is a pure execution knob:
-    /// every output is byte-identical at any `(shards, threads)` pair.
-    pub threads: usize,
 }
 
 /// Summary of one simulation run.
@@ -158,9 +143,8 @@ enum Event {
     /// A batch finished executing. The bulky payload (requests, fault
     /// bookkeeping, trace echo) parks in [`ClusterSim::jobs`]; the event
     /// carries only the pool index — every event moves through the
-    /// calendar wheel and staged merge several times, so payload size is
-    /// event-loop bandwidth. `backend` rides along so the shard router
-    /// classifies completions without reaching into the pool.
+    /// calendar wheel several times, so payload size is event-loop
+    /// bandwidth.
     BatchDone {
         backend: u32,
         job: u32,
@@ -307,99 +291,6 @@ impl Route {
     }
 }
 
-/// Shard router over the engine's [`ParallelShardedQueue`].
-///
-/// Classifies each event to its home shard — backend-owned events (wakes,
-/// batch completions) to the backend group's shard, control-plane events
-/// (arrivals, epochs, faults, heartbeats) to shard 0 — and tracks which
-/// shard's handler is currently executing, so a handler's pushes become
-/// shard-local calendar inserts or cross-shard mailbox posts. The shard
-/// map only decides *where an event waits*: the merge key is the global
-/// `(time, seq)` order, so the popped stream (and therefore the whole
-/// simulation) is byte-identical at every shard count.
-struct EventRouter {
-    q: ParallelShardedQueue<Event>,
-    /// Cached `q.shard_count()`; 1 short-circuits the shard map entirely
-    /// (the common un-sharded configuration pays no classification cost).
-    nshards: usize,
-    /// Home shard of the event whose handler is currently running.
-    cur: usize,
-}
-
-impl EventRouter {
-    fn new(shards: usize, threads: usize, window: Micros) -> Self {
-        let q = ParallelShardedQueue::new(shards, threads, window);
-        EventRouter {
-            nshards: q.shard_count(),
-            q,
-            cur: 0,
-        }
-    }
-
-    /// Retunes the windowed executor's drain horizon; determinism-safe at
-    /// any time (the window never affects pop order).
-    fn set_window(&mut self, window: Micros) {
-        self.q.set_window(window);
-    }
-
-    /// Work-partition statistics (`None` when running serially).
-    fn stats(&self) -> Option<&ExecStats> {
-        self.q.stats()
-    }
-
-    fn shard_of(&self, ev: &Event) -> usize {
-        if self.nshards == 1 {
-            return 0;
-        }
-        match ev {
-            Event::Wake { backend, .. } | Event::BatchDone { backend, .. } => {
-                *backend as usize % self.nshards
-            }
-            Event::RootArrival { .. }
-            | Event::EpochTick
-            | Event::Fault { .. }
-            | Event::FaultEnd { .. }
-            | Event::HeartbeatCheck => 0,
-        }
-    }
-
-    fn push(&mut self, time: Micros, ev: Event) {
-        let dest = self.shard_of(&ev);
-        self.q.schedule_from(self.cur, dest, time, ev);
-    }
-
-    fn pop(&mut self) -> Option<(Micros, Event)> {
-        let (t, ev) = self.q.pop()?;
-        self.cur = self.shard_of(&ev);
-        Some((t, ev))
-    }
-
-    fn now(&self) -> Micros {
-        self.q.now()
-    }
-
-    fn reserve(&mut self, n: usize) {
-        self.q.reserve(n);
-    }
-}
-
-/// Drain-window hint for the windowed executor, derived from the plan's
-/// duty-cycle bounds: each backend's wakes recur once per duty cycle, so
-/// the shortest duty cycle is the densest known event period — one such
-/// period per rendezvous keeps every shard's drain non-trivial without
-/// letting the side heap (in-window schedules) grow past a cycle's worth
-/// of zero-delay wakes. Clamped to [1 ms, 50 ms]; the value is purely a
-/// performance knob (any window yields byte-identical output), so the
-/// heuristic cannot affect results — only how often threads rendezvous.
-fn plan_window(plan: &ControlPlan) -> Micros {
-    let min_duty = plan
-        .iter_plans()
-        .map(|p| p.duty_cycle)
-        .filter(|d| *d > Micros::ZERO)
-        .min();
-    Micros(min_duty.map_or(10_000, |d| d.0).clamp(1_000, 50_000))
-}
-
 /// Outcome of inspecting one slot during a service scan.
 enum SlotDecision {
     /// Queue empty or not yet worth serving.
@@ -440,7 +331,7 @@ pub struct ClusterSim {
     /// (class, stage) → session ids (one per variant; single when merged).
     stage_sessions: Vec<Vec<Vec<SessionId>>>,
     variant_cursor: Vec<Vec<usize>>,
-    events: EventRouter,
+    events: EventQueue<Event>,
     arrivals: Vec<ArrivalGen>,
     arrival_rng: Vec<StdRng>,
     gamma_rng: StdRng,
@@ -531,6 +422,11 @@ impl ClusterSim {
     /// model or a fault spec targets a slot outside `max_gpus` — user
     /// input, so callers (e.g. the `simulate` binary) can report it
     /// cleanly instead of aborting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.warmup >= cfg.horizon` (an empty measurement
+    /// window), like every other constructor.
     pub fn try_new(cfg: SimConfig, classes: Vec<TrafficClass>) -> Result<Self, PlanError> {
         ClusterSim::construct(cfg, classes, Vec::new())
     }
@@ -561,6 +457,16 @@ impl ClusterSim {
         classes: Vec<TrafficClass>,
         pools: Vec<DevicePool>,
     ) -> Result<Self, PlanError> {
+        // Every entry point converges here, so the builder, `run_once` and
+        // `SimConfig` literals are all covered: an empty measurement
+        // window would otherwise summarize to all zeros without a word.
+        assert!(
+            cfg.warmup < cfg.horizon,
+            "warm-up ({}) must end before the horizon ({}): no query could \
+             arrive in the measured window",
+            cfg.warmup,
+            cfg.horizon
+        );
         for f in &cfg.faults {
             if f.slot >= cfg.max_gpus as usize {
                 return Err(PlanError::FaultSlot {
@@ -600,10 +506,9 @@ impl ClusterSim {
             .iter()
             .map(|c| vec![0usize; c.app.stages.len()])
             .collect();
-        let mut events = EventRouter::new(cfg.shards, cfg.threads, plan_window(&control));
         // Workload hint: pending events track armed wakes + in-flight
         // batches (O(backends)) plus one scheduled arrival per class.
-        events.reserve(backends.len() * 2 + classes.len() + 16);
+        let mut events = EventQueue::with_capacity(backends.len() * 2 + classes.len() + 16);
         let mut arrivals = Vec::new();
         let mut arrival_rng = Vec::new();
         for (ci, class) in classes.iter().enumerate() {
@@ -712,17 +617,7 @@ impl ClusterSim {
     }
 
     /// Runs to completion and summarizes.
-    pub fn run(self) -> SimResult {
-        self.run_with_stats().0
-    }
-
-    /// [`run`](Self::run), also returning the parallel executor's
-    /// work-partition statistics (`None` when `threads <= 1`). The stats
-    /// ride outside [`SimResult`] on purpose: they describe *how* the
-    /// event loop executed (windows, drained-vs-side split, per-shard
-    /// balance) and legitimately differ across thread counts, while the
-    /// result itself must stay byte-identical.
-    pub fn run_with_stats(mut self) -> (SimResult, Option<ExecStats>) {
+    pub fn run(mut self) -> SimResult {
         while let Some((now, ev)) = self.events.pop() {
             self.events_processed += 1;
             match ev {
@@ -739,8 +634,7 @@ impl ClusterSim {
                 Event::HeartbeatCheck => self.on_heartbeat_check(now),
             }
         }
-        let stats = self.events.stats().cloned();
-        (self.summarize(), stats)
+        self.summarize()
     }
 
     /// Whether the physical slot under `backend` currently executes work.
@@ -1527,10 +1421,6 @@ impl ClusterSim {
         // Any swap re-packs on current capacity, so a rejoin-deferred
         // replan that is still pending becomes moot.
         self.pending_replan = None;
-        // Retune the parallel drain window to the incoming plan's
-        // duty-cycle bounds (a no-op when running serially; never affects
-        // pop order either way).
-        self.events.set_window(plan_window(&next));
         // Account allocated GPU-seconds under the *old* allocation.
         self.gpu_seconds_allocated +=
             (now - self.last_alloc_change).as_secs_f64() * self.control.gpu_count() as f64;
@@ -1793,7 +1683,7 @@ impl ClusterSim {
     fn on_heartbeat_check(&mut self, now: Micros) {
         // A rejoin re-pack deferred by the cooldown runs here once due —
         // the heartbeat tick is the controller's only periodic foothold,
-        // so no extra event variant (or shard-routing rule) is needed.
+        // so no extra event variant is needed.
         if self.pending_replan.is_some_and(|due| due <= now) {
             self.emergency_replan(now);
         }
@@ -2412,8 +2302,6 @@ mod tests {
                 warmup: Micros::from_secs(5),
                 trace_capacity: 0,
                 faults: vec![],
-                shards: 1,
-                threads: 1,
             },
             classes,
         )
@@ -2495,8 +2383,6 @@ mod tests {
                 warmup: Micros::from_secs(10),
                 trace_capacity: 0,
                 faults: vec![],
-                shards: 1,
-                threads: 1,
             },
             classes,
         )
@@ -2536,8 +2422,6 @@ mod tests {
                     warmup: Micros::from_secs(4),
                     trace_capacity: 0,
                     faults: vec![],
-                    shards: 1,
-                    threads: 1,
                 },
                 classes,
             )
@@ -2570,8 +2454,6 @@ mod tests {
                 warmup: Micros::from_secs(5),
                 trace_capacity: 0,
                 faults,
-                shards: 1,
-                threads: 1,
             },
             classes,
         )
@@ -2675,8 +2557,6 @@ mod tests {
                 warmup: Micros::from_secs(5),
                 trace_capacity: 1 << 20,
                 faults,
-                shards: 1,
-                threads: 1,
             },
             classes,
         )
@@ -2866,8 +2746,6 @@ mod tests {
                     slot: 9,
                     kind: FaultKind::Crash,
                 }],
-                shards: 1,
-                threads: 1,
             },
             classes,
         )
@@ -2900,8 +2778,6 @@ mod tests {
                 warmup: Micros::from_secs(2),
                 trace_capacity: 0,
                 faults: vec![],
-                shards: 1,
-                threads: 1,
             },
             classes,
         )

@@ -206,7 +206,7 @@ impl SessionQueue {
     /// and tracing. Both are caller-owned scratch, cleared and refilled in
     /// place, so the hot loop stays allocation-free. The result is a pure
     /// function of queue state, `now`, and the plan — no RNG, no global
-    /// state — which keeps sharded/threaded runs byte-identical.
+    /// state.
     ///
     /// Non-`Early` policies keep their classic pull (the ladder is an
     /// early-drop refinement); their single batch executes as one covering

@@ -181,8 +181,6 @@ pub fn run_heterogeneous(
             warmup,
             trace_capacity: 0,
             faults: vec![],
-            shards: 1,
-            threads: 1,
         },
         pools.to_vec(),
         classes,

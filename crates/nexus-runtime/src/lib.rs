@@ -31,7 +31,7 @@ pub use hetero::{
 pub use histogram::LatencyHistogram;
 pub use live::{run_live, LiveConfig, LiveOutcome, LiveSession, LiveSessionOutcome};
 pub use metrics::{ClusterMetrics, FailureRecord, SessionMetrics, TimelineBucket};
-pub use nexus_simgpu::{ExecStats, FaultKind, FaultSchedule, FaultSpec};
+pub use nexus_simgpu::{FaultKind, FaultSchedule, FaultSpec};
 pub use request::{FinishedQuery, QueryId, QueryTracker, Request, RequestId, RequestOutcome};
 pub use singlenode::{
     fit_shared_batches, simulate_node, NodeConfig, NodeOutcome, NodeSession, NodeSessionStats,

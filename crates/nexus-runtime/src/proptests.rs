@@ -535,8 +535,6 @@ fn faulted_run(seed: u64, faults: Vec<FaultSpec>) -> crate::cluster::SimResult {
             warmup: Micros::from_secs(1),
             trace_capacity: 0,
             faults,
-            shards: 1,
-            threads: 1,
         },
         vec![TrafficClass::new(apps::dance(), ArrivalKind::Uniform, 20.0)],
     )

@@ -30,10 +30,10 @@ use nexus_profile::Micros;
 
 /// One scheduled event: `(time, seq)` is the total pop order.
 #[derive(Debug)]
-pub(crate) struct Entry<E> {
-    pub time: u64,
-    pub seq: u64,
-    pub event: E,
+struct Entry<E> {
+    time: u64,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -154,12 +154,12 @@ impl<E> CalendarQueue<E> {
             event,
         };
         if bucket <= self.base {
-            // Cursor bucket — or earlier: the sharded queue's staged-head
-            // swap can legally re-insert an entry from a bucket the cursor
-            // already passed (its pop time is still in the future globally).
-            // Either way it must pop before anything in later buckets, so
-            // it joins `current` in sorted (descending) position, keeping
-            // the pop order exact.
+            // Cursor bucket: it must pop before anything in later buckets,
+            // so it joins `current` in sorted (descending) position,
+            // keeping the pop order exact. (`<=`, not `==`: a push at or
+            // after the last pop never lands behind the cursor, and one
+            // that breaks that contract still pops next rather than
+            // waiting out a full wheel turn.)
             let pos = self.current.partition_point(|e| (e.time, e.seq) > (t, seq));
             self.current.insert(pos, entry);
         } else if bucket < self.base + NBUCKETS as u64 {
@@ -249,34 +249,6 @@ impl<E> CalendarQueue<E> {
             // insert in position.
             self.current
                 .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-        }
-    }
-
-    /// Bulk-pops every event with `time < horizon` into `out` (appended in
-    /// exact pop order) and returns the earliest remaining time
-    /// (`u64::MAX` when the queue empties).
-    ///
-    /// Observationally identical to repeated `pop` calls guarded by a
-    /// peek — including the retune bookkeeping, which sees the same popped
-    /// stream — but exposes the cursor-bucket peek the windowed parallel
-    /// executor needs without paying [`CalendarQueue::peek_time`]'s
-    /// `O(buckets)` scan per event.
-    pub(crate) fn drain_below(&mut self, horizon: u64, out: &mut Vec<Entry<E>>) -> u64 {
-        loop {
-            if let Some(head) = self.current.last() {
-                if head.time >= horizon {
-                    return head.time;
-                }
-                let e = self.current.pop().expect("peeked");
-                self.len -= 1;
-                let t = e.time;
-                out.push(e);
-                self.retune(t);
-            } else if self.len == 0 {
-                return u64::MAX;
-            } else {
-                self.advance();
-            }
         }
     }
 
@@ -422,46 +394,6 @@ mod tests {
             seq += 1;
         }
         assert_eq!(drain(&mut q), expect);
-    }
-
-    #[test]
-    fn drain_below_matches_guarded_pops() {
-        // The same xorshift mix the shard tests use: near-horizon bulk,
-        // tie floods, and far-future overflow spills.
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut push_script = Vec::new();
-        for i in 0..30_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let t = match x % 10 {
-                0..=6 => x % 50_000,
-                7 | 8 => 777,
-                _ => 40_000_000 + x % 1_000_000_000,
-            };
-            push_script.push((t, i));
-        }
-        let mut a = CalendarQueue::new();
-        let mut b = CalendarQueue::new();
-        for &(t, s) in &push_script {
-            a.push(Micros(t), s, s);
-            b.push(Micros(t), s, s);
-        }
-        // Drain in windows of varying width; compare against pop-by-pop.
-        for horizon in [100, 1_000, 60_000, 50_000_000, u64::MAX] {
-            let mut run = Vec::new();
-            let next = a.drain_below(horizon, &mut run);
-            let drained: Vec<(u64, u64)> = run.into_iter().map(|e| (e.time, e.seq)).collect();
-            let mut expect = Vec::new();
-            while b.peek_time().is_some_and(|t| t.0 < horizon) {
-                let (t, s, _) = b.pop().expect("peeked");
-                expect.push((t.0, s));
-            }
-            assert_eq!(drained, expect, "horizon={horizon}");
-            assert_eq!(next, b.peek_time().map_or(u64::MAX, |t| t.0));
-            assert_eq!(a.len(), b.len());
-        }
-        assert!(a.is_empty());
     }
 
     #[test]

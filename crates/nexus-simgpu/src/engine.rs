@@ -6,11 +6,8 @@
 //!
 //! Scheduling is backed by a calendar queue ([`crate::calendar`]) — `O(1)`
 //! amortized for the near-horizon events that dominate the simulator's
-//! workload — with a binary-heap reference implementation
-//! ([`HeapEventQueue`]) kept for differential testing and benchmarking.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! workload. A binary-heap reference implementation (`HeapEventQueue`)
+//! is compiled for this crate's tests only, as the differential oracle.
 
 use nexus_profile::Micros;
 
@@ -134,110 +131,106 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// An event scheduled at a virtual time (heap reference ordering).
-struct Scheduled<E> {
-    time: Micros,
-    seq: u64,
-    event: E,
-}
+/// The original `BinaryHeap`-backed event queue, kept as the test oracle:
+/// the differential proptests assert [`EventQueue`] pops in exactly this
+/// order. API mirrors the part of [`EventQueue`] they drive.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+    use nexus_profile::Micros;
+
+    /// An event scheduled at a virtual time (heap reference ordering).
+    struct Scheduled<E> {
+        time: Micros,
+        seq: u64,
+        event: E,
     }
-}
 
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we need earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue, kept as a reference
-/// implementation: the differential proptests assert [`EventQueue`] pops
-/// in exactly this order, and the hot_paths benches compare the two.
-///
-/// API mirrors [`EventQueue`].
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-    now: Micros,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        HeapEventQueue::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: Micros::ZERO,
+    impl<E> PartialEq for Scheduled<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
         }
     }
 
-    /// Current virtual time: the timestamp of the last popped event.
-    pub fn now(&self) -> Micros {
-        self.now
+    impl<E> Eq for Scheduled<E> {}
+
+    impl<E> PartialOrd for Scheduled<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
     }
 
-    /// Schedules `event` at absolute virtual time `time`.
-    pub fn push(&mut self, time: Micros, event: E) {
-        assert!(
-            time >= self.now,
-            "event scheduled at {time} before current time {}",
+    impl<E> Ord for Scheduled<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap, we need earliest-first.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    pub(crate) struct HeapEventQueue<E> {
+        heap: BinaryHeap<Scheduled<E>>,
+        seq: u64,
+        now: Micros,
+    }
+
+    impl<E> HeapEventQueue<E> {
+        /// Creates an empty queue at time zero.
+        pub(crate) fn new() -> Self {
+            HeapEventQueue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                now: Micros::ZERO,
+            }
+        }
+
+        /// Current virtual time: the timestamp of the last popped event.
+        pub(crate) fn now(&self) -> Micros {
             self.now
-        );
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
+        }
 
-    /// Schedules `event` `delay` after the current time.
-    pub fn push_after(&mut self, delay: Micros, event: E) {
-        self.push(self.now + delay, event);
-    }
+        /// Schedules `event` at absolute virtual time `time`.
+        pub(crate) fn push(&mut self, time: Micros, event: E) {
+            assert!(
+                time >= self.now,
+                "event scheduled at {time} before current time {}",
+                self.now
+            );
+            self.heap.push(Scheduled {
+                time,
+                seq: self.seq,
+                event,
+            });
+            self.seq += 1;
+        }
 
-    /// Pops the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(Micros, E)> {
-        self.heap.pop().map(|s| {
-            self.now = s.time;
-            (s.time, s.event)
-        })
-    }
+        /// Schedules `event` `delay` after the current time.
+        pub(crate) fn push_after(&mut self, delay: Micros, event: E) {
+            self.push(self.now + delay, event);
+        }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
+        /// Pops the earliest event, advancing the clock to its timestamp.
+        pub(crate) fn pop(&mut self) -> Option<(Micros, E)> {
+            self.heap.pop().map(|s| {
+                self.now = s.time;
+                (s.time, s.event)
+            })
+        }
 
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        /// Number of pending events.
+        pub(crate) fn len(&self) -> usize {
+            self.heap.len()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::HeapEventQueue;
     use super::*;
 
     #[test]

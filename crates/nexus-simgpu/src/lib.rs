@@ -13,20 +13,16 @@ pub mod engine;
 pub mod fault;
 pub mod gpu;
 pub mod interference;
-pub mod parallel;
 pub mod round;
 pub mod runner;
-pub mod shard;
 
 #[cfg(test)]
 mod proptests;
 
 pub use calendar::CalendarQueue;
-pub use engine::{EventQueue, HeapEventQueue};
+pub use engine::EventQueue;
 pub use fault::{FaultKind, FaultSchedule, FaultSpec, FleetHealth, PollOutcome};
 pub use gpu::{Execution, GpuError, ResidentKey, SimGpu};
 pub use interference::InterferenceModel;
-pub use parallel::{ExecStats, ParallelShardedQueue, WorkerPool};
 pub use round::{max_batch_within_round, round_timing, RoundTiming, DEFAULT_CPU_WORKERS};
 pub use runner::SimBatchRunner;
-pub use shard::ShardedEventQueue;

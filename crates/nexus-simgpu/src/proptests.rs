@@ -6,7 +6,8 @@ use proptest::prelude::*;
 
 use nexus_profile::{BatchingProfile, Micros, GPU_GTX1080TI};
 
-use crate::engine::{EventQueue, HeapEventQueue};
+use crate::engine::reference::HeapEventQueue;
+use crate::engine::EventQueue;
 use crate::gpu::{ResidentKey, SimGpu};
 use crate::interference::InterferenceModel;
 
@@ -33,7 +34,7 @@ proptest! {
     }
 
     /// Differential: the calendar-backed [`EventQueue`] pops in exactly
-    /// the `(time, seq)` order of the [`HeapEventQueue`] reference under
+    /// the `(time, seq)` order of the `HeapEventQueue` reference under
     /// arbitrary push/pop interleavings — near-horizon pushes, same-time
     /// tie floods, and far-future pushes that spill into the calendar's
     /// overflow heap (deltas up to 2^36 µs dwarf the wheel span, so every

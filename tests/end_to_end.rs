@@ -65,6 +65,7 @@ fn nexus_beats_baselines_on_traffic() {
             3,
             Micros::from_secs(4),
             Micros::from_secs(16),
+            0,
         )
     };
     let nexus = run(SystemConfig::nexus());
@@ -114,6 +115,7 @@ fn builder_and_determinism() {
         11,
         Micros::from_secs(2),
         Micros::from_secs(10),
+        0,
     );
     assert_eq!(a.queries_finished, c.queries_finished);
     assert_eq!(a.query_bad_rate, c.query_bad_rate);
@@ -136,6 +138,7 @@ fn all_apps_serve_cleanly_at_light_load() {
         5,
         Micros::from_secs(4),
         Micros::from_secs(16),
+        0,
     );
     assert!(result.queries_finished > 1_500);
     assert!(
@@ -212,6 +215,7 @@ fn epoch_controller_tracks_surge() {
         7,
         Micros::from_secs(10),
         Micros::from_secs(75),
+        0,
     );
     let tl = result.metrics.timeline();
     let before = tl[20].gpus_allocated;

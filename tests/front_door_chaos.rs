@@ -1,8 +1,8 @@
 //! The simulator-side chaos gate: a deterministic network-fault schedule
 //! at Fig. 13-scale traffic, with routing-epoch updates landing
 //! mid-traffic, must conserve every request — arrivals equal completions
-//! plus drops-with-cause — and stay byte-identical across shard and
-//! thread counts while faults are in play.
+//! plus drops-with-cause — and replay byte-identically while faults are
+//! in play.
 //!
 //! The live-socket counterpart of this gate (real frontends, a backend
 //! killed mid-run, an epoch pushed mid-traffic) lives in
@@ -17,7 +17,7 @@ use nexus_runtime::{ClusterSim, SimConfig, TraceEvent};
 /// Fig. 13 mini (the golden-trace workload shape) plus every network
 /// fault kind the simulator knows, staggered across slots so each one's
 /// detection and recovery plays out while epochs keep re-planning.
-fn chaos_sim(shards: usize, threads: usize) -> nexus_runtime::SimResult {
+fn chaos_sim() -> nexus_runtime::SimResult {
     let horizon = Micros::from_secs(10);
     let faults = vec![
         // A hard crash: detected by missed heartbeats, emergency re-pack.
@@ -72,8 +72,6 @@ fn chaos_sim(shards: usize, threads: usize) -> nexus_runtime::SimResult {
             warmup: Micros::from_secs(2),
             trace_capacity: 1 << 20,
             faults,
-            shards,
-            threads,
         },
         nexus::workloads::fig13_classes(horizon, 0.08),
     )
@@ -83,7 +81,7 @@ fn chaos_sim(shards: usize, threads: usize) -> nexus_runtime::SimResult {
 
 #[test]
 fn network_chaos_conserves_every_request() {
-    let result = chaos_sim(1, 1);
+    let result = chaos_sim();
     let trace = result.trace.as_ref().expect("tracing enabled");
 
     let mut arrivals = 0u64;
@@ -134,14 +132,12 @@ fn network_chaos_conserves_every_request() {
 }
 
 #[test]
-fn network_chaos_is_deterministic_across_shards_and_threads() {
-    let reference = format!("{:?}", chaos_sim(1, 1));
+fn network_chaos_is_deterministic_across_runs() {
+    let reference = format!("{:?}", chaos_sim());
     assert!(!reference.contains("events_processed: 0,"));
-    for (shards, threads) in [(4, 1), (1, 4), (4, 4)] {
-        assert_eq!(
-            format!("{:?}", chaos_sim(shards, threads)),
-            reference,
-            "chaos run diverged at shards={shards} threads={threads}"
-        );
-    }
+    assert_eq!(
+        format!("{:?}", chaos_sim()),
+        reference,
+        "chaos run diverged on replay"
+    );
 }
