@@ -36,7 +36,7 @@ else
 fi
 
 # ci-step: perf-smoke
-echo "== perf smoke: fig13_100gpu, 5 s of repetitions =="
+echo "== perf smoke: fig13_100gpu 5 s, replan_tenants 3 s =="
 # Runs the benchmark's deployment workload for five seconds. Exits
 # non-zero if any repetition panics or differs from the first in event
 # count or bad-rate bits (the harness's in-run determinism gate). Timing
@@ -44,6 +44,11 @@ echo "== perf smoke: fig13_100gpu, 5 s of repetitions =="
 # is not a `perf --compare` against a committed result file.
 cargo run --release -q -p perf -- \
   --workload fig13_100gpu --seed 100 --seconds 5 --trace 0
+# The planner's turn: three seconds of re-plan epochs on both fleets.
+# Non-zero unless every plan succeeded, every session is placed xor listed
+# infeasible, and epoch 0 re-plans to the same GPUs and placement.
+cargo run --release -q -p perf -- \
+  --workload replan_tenants --seed 100 --seconds 3 --trace 0
 
 # ci-step: goodput-smoke
 echo "== goodput smoke: fig14 k=5 ladder point at 98% of committed baseline =="

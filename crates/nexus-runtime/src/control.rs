@@ -8,6 +8,9 @@
 //! the session table, the GPU plans, and the routing table the frontends
 //! consult.
 
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+
 use nexus_model::{zoo, PrefixPlan};
 use nexus_profile::{BatchingProfile, DeviceType, Micros, SharedProfile};
 use nexus_scheduler::{
@@ -234,87 +237,146 @@ pub fn build_sessions(
     let mut sessions = Vec::new();
     let mut all_budgets = Vec::new();
     let devices = [*device];
+    let mut profiles = ProfileMemo::new(cfg, &devices);
     for (ci, class) in classes.iter().enumerate() {
         let root_rate = rates.map_or(class.rate, |r| r[ci]);
-        let budgets = stage_budgets(class, cfg, device, root_rate)?;
+        let budgets = stage_budgets(class, &mut profiles, root_rate)?;
         let stage_pools = vec![0usize; class.app.stages.len()];
         build_class_sessions(
             &mut sessions,
             ci,
             class,
-            cfg,
+            &mut profiles,
             root_rate,
             &budgets,
             &stage_pools,
-            &devices,
         )?;
         all_budgets.push(budgets);
     }
     Ok((sessions, all_budgets))
 }
 
+/// The profiles one planning call derives from the catalog, each built
+/// once: classes share their apps' models (the benchmark's 280 tenant
+/// classes name eight), and deriving a table — catalog → CPU folded in →
+/// stretched or prefix-merged — costs more than one stage's share of the
+/// split DP that reads it. Lives for one `plan` / `plan_pooled` call.
+struct ProfileMemo<'a> {
+    cfg: &'a SystemConfig,
+    /// Device of each pool, indexed like the planner's pool list.
+    devices: &'a [DeviceType],
+    /// `(model, pool, non-root stage)` → the profile the split DPs plan on.
+    split: HashMap<(&'a str, usize, bool), BatchingProfile>,
+    /// `(model, pool, variants merged into the session)` → the profile the
+    /// session executes; 1 for a session that serves a single variant.
+    exec: HashMap<(&'a str, usize, u32), SharedProfile>,
+}
+
+impl<'a> ProfileMemo<'a> {
+    fn new(cfg: &'a SystemConfig, devices: &'a [DeviceType]) -> Self {
+        ProfileMemo {
+            cfg,
+            devices,
+            split: HashMap::new(),
+            exec: HashMap::new(),
+        }
+    }
+
+    /// The effective profile of `model` on `pool`'s device as the split DPs
+    /// see it: non-root stages are planned at [`CHILD_BURST_MARGIN`].
+    fn split(
+        &mut self,
+        model: &'a str,
+        pool: usize,
+        child: bool,
+    ) -> Result<&BatchingProfile, PlanError> {
+        match self.split.entry((model, pool, child)) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => {
+                let mut profile = catalog_spec(model)?
+                    .profile_on(&self.devices[pool])
+                    .effective(self.cfg.overlap, self.cfg.cpu_workers);
+                if child {
+                    profile = stretch_profile(&profile, CHILD_BURST_MARGIN);
+                }
+                Ok(e.insert(profile))
+            }
+        }
+    }
+
+    /// The effective profile a session of `model` executes on `pool`'s
+    /// device: prefix-merged over `merged` variants when that is above 1.
+    fn exec(
+        &mut self,
+        model: &'a str,
+        pool: usize,
+        merged: u32,
+    ) -> Result<SharedProfile, PlanError> {
+        match self.exec.entry((model, pool, merged)) {
+            Entry::Occupied(e) => Ok(e.get().clone()),
+            Entry::Vacant(e) => {
+                let mut profile = catalog_spec(model)?.profile_on(&self.devices[pool]);
+                if merged > 1 {
+                    let schema = zoo::by_name(model).ok_or_else(|| PlanError::UnknownSchema {
+                        model: model.to_string(),
+                    })?;
+                    let plan = PrefixPlan::new(&schema, &profile, schema.num_layers() - 1);
+                    profile = plan
+                        .merged_profile(merged, profile.max_batch())
+                        .with_preprocess(profile.preprocess_per_item())
+                        .with_postprocess(profile.postprocess_per_item())
+                        .with_load_time(profile.load_time());
+                }
+                let effective = profile.effective(self.cfg.overlap, self.cfg.cpu_workers);
+                Ok(e.insert(effective.into()).clone())
+            }
+        }
+    }
+}
+
+fn catalog_spec(model: &str) -> Result<&'static nexus_profile::ModelSpec, PlanError> {
+    nexus_profile::by_name(model).ok_or_else(|| PlanError::UnknownModel {
+        model: model.to_string(),
+    })
+}
+
 /// Appends one class's sessions: each stage lands on `stage_pools[si]` and
-/// its profiles come from that pool's device. The homogeneous path passes a
+/// its profile comes from that pool's device. The homogeneous path passes a
 /// single device with every stage on pool 0.
-#[allow(clippy::too_many_arguments)]
-fn build_class_sessions(
+fn build_class_sessions<'a>(
     sessions: &mut Vec<RuntimeSession>,
     ci: usize,
-    class: &TrafficClass,
-    cfg: &SystemConfig,
+    class: &'a TrafficClass,
+    profiles: &mut ProfileMemo<'a>,
     root_rate: f64,
     budgets: &[Micros],
     stage_pools: &[usize],
-    devices: &[DeviceType],
 ) -> Result<(), PlanError> {
     let offsets = deadline_offsets(&class.app, budgets);
     let stage_rates = class.app.stage_rates(root_rate);
     for (si, stage) in class.app.stages.iter().enumerate() {
         let pool = stage_pools[si];
-        let device = &devices[pool];
-        let spec = nexus_profile::by_name(&stage.model).ok_or_else(|| PlanError::UnknownModel {
-            model: stage.model.clone(),
-        })?;
-        let base = spec.profile_on(device);
-        let merged = cfg.prefix_batching && stage.variants > 1;
-        if merged {
-            let schema = zoo::by_name(&stage.model).ok_or_else(|| PlanError::UnknownSchema {
-                model: stage.model.clone(),
-            })?;
-            let plan = PrefixPlan::new(&schema, &base, schema.num_layers() - 1);
-            let profile = plan
-                .merged_profile(stage.variants, base.max_batch())
-                .with_preprocess(base.preprocess_per_item())
-                .with_postprocess(base.postprocess_per_item())
-                .with_load_time(base.load_time());
+        // A prefix-merged stage is one session over all its variants; an
+        // unmerged one is a session per variant, each a share of the rate.
+        let (variant_count, merged) = if profiles.cfg.prefix_batching && stage.variants > 1 {
+            (1, stage.variants)
+        } else {
+            (stage.variants.max(1), 1)
+        };
+        let exec_profile = profiles.exec(&stage.model, pool, merged)?;
+        for variant in 0..variant_count {
             sessions.push(RuntimeSession {
                 id: SessionId(sessions.len() as u32),
                 class: ci,
                 stage: si,
-                variant: 0,
-                variant_count: 1,
-                exec_profile: profile.effective(cfg.overlap, cfg.cpu_workers).into(),
+                variant,
+                variant_count,
+                exec_profile: exec_profile.clone(),
                 budget: budgets[si],
                 deadline_offset: offsets[si],
-                est_rate: stage_rates[si],
+                est_rate: stage_rates[si] / f64::from(variant_count),
                 pool,
             });
-        } else {
-            let v = stage.variants.max(1);
-            for variant in 0..v {
-                sessions.push(RuntimeSession {
-                    id: SessionId(sessions.len() as u32),
-                    class: ci,
-                    stage: si,
-                    variant,
-                    variant_count: v,
-                    exec_profile: base.effective(cfg.overlap, cfg.cpu_workers).into(),
-                    budget: budgets[si],
-                    deadline_offset: offsets[si],
-                    est_rate: stage_rates[si] / f64::from(v),
-                    pool,
-                });
-            }
         }
     }
     Ok(())
@@ -322,14 +384,13 @@ fn build_class_sessions(
 
 /// Splits a class's SLO across its stages (§6.2), falling back to an even
 /// split when the optimizer finds no feasible plan or QA is ablated.
-fn stage_budgets(
-    class: &TrafficClass,
-    cfg: &SystemConfig,
-    device: &DeviceType,
+fn stage_budgets<'a>(
+    class: &'a TrafficClass,
+    profiles: &mut ProfileMemo<'a>,
     root_rate: f64,
 ) -> Result<Vec<Micros>, PlanError> {
-    let dag = class_dag(class, cfg, device)?;
-    if cfg.query_analysis {
+    let dag = class_dag(class, profiles)?;
+    if profiles.cfg.query_analysis {
         if let Some(split) =
             optimize_latency_split(&dag, class.app.slo, root_rate.max(1.0), SPLIT_SEGMENTS)
         {
@@ -346,10 +407,9 @@ fn stage_budgets(
 const CHILD_BURST_MARGIN: f64 = 2.0;
 
 /// The scheduler-facing DAG of a class (effective profiles, mean γ).
-fn class_dag(
-    class: &TrafficClass,
-    cfg: &SystemConfig,
-    device: &DeviceType,
+fn class_dag<'a>(
+    class: &'a TrafficClass,
+    profiles: &mut ProfileMemo<'a>,
 ) -> Result<QueryDag, PlanError> {
     let stages = class
         .app
@@ -357,19 +417,9 @@ fn class_dag(
         .iter()
         .enumerate()
         .map(|(si, stage)| {
-            let spec =
-                nexus_profile::by_name(&stage.model).ok_or_else(|| PlanError::UnknownModel {
-                    model: stage.model.clone(),
-                })?;
-            let mut profile = spec
-                .profile_on(device)
-                .effective(cfg.overlap, cfg.cpu_workers);
-            if si > 0 {
-                profile = stretch_profile(&profile, CHILD_BURST_MARGIN);
-            }
             Ok(QueryStage {
                 name: stage.model.clone(),
-                profile,
+                profile: profiles.split(&stage.model, 0, si > 0)?.clone(),
                 children: stage.children.iter().map(|&(c, g)| (c, g.mean())).collect(),
             })
         })
@@ -388,16 +438,16 @@ fn class_dag(
 type StagePlacement = (Vec<Micros>, Vec<usize>, Vec<f64>);
 
 /// Returns `(budgets, stage_pools, stage_gpus)`.
-fn pooled_stage_plan(
-    class: &TrafficClass,
-    cfg: &SystemConfig,
+fn pooled_stage_plan<'a>(
+    class: &'a TrafficClass,
+    profiles: &mut ProfileMemo<'a>,
     pools: &[DevicePool],
     avail: &[u32],
     pool_load: &[f64],
     root_rate: f64,
 ) -> Result<StagePlacement, PlanError> {
     let all: Vec<usize> = (0..pools.len()).collect();
-    if cfg.query_analysis {
+    if profiles.cfg.query_analysis {
         let open: Vec<usize> = (0..pools.len())
             .filter(|&pi| avail[pi] > 0 && pool_load[pi] < f64::from(avail[pi]))
             .collect();
@@ -408,7 +458,7 @@ fn pooled_stage_plan(
             if allowed.is_empty() {
                 continue;
             }
-            let dag = hetero_class_dag(class, cfg, pools, allowed)?;
+            let dag = hetero_class_dag(class, profiles, pools, allowed)?;
             if let Some(split) =
                 optimize_hetero_split(&dag, class.app.slo, root_rate.max(1.0), SPLIT_SEGMENTS)
             {
@@ -437,18 +487,14 @@ fn pooled_stage_plan(
     });
     let mut stage_pools = Vec::with_capacity(class.app.stages.len());
     for (si, stage) in class.app.stages.iter().enumerate() {
-        let spec = nexus_profile::by_name(&stage.model).ok_or_else(|| PlanError::UnknownModel {
-            model: stage.model.clone(),
-        })?;
-        let feasible = by_price.iter().copied().find(|&pi| {
-            let mut p = spec
-                .profile_on(&pools[pi].device)
-                .effective(cfg.overlap, cfg.cpu_workers);
-            if si > 0 {
-                p = stretch_profile(&p, CHILD_BURST_MARGIN);
+        let mut feasible = None;
+        for &pi in &by_price {
+            let profile = profiles.split(&stage.model, pi, si > 0)?;
+            if profile.max_throughput_for_slo(budgets[si]).is_some() {
+                feasible = Some(pi);
+                break;
             }
-            p.max_throughput_for_slo(budgets[si]).is_some()
-        });
+        }
         stage_pools.push(feasible.unwrap_or(fastest));
     }
     let stage_gpus = vec![0.0; class.app.stages.len()];
@@ -471,9 +517,9 @@ fn even_budgets(app: &AppSpec) -> Vec<Micros> {
 
 /// The heterogeneous scheduler-facing DAG of a class: one profile candidate
 /// per allowed pool, priced at that pool's device hourly cost.
-fn hetero_class_dag(
-    class: &TrafficClass,
-    cfg: &SystemConfig,
+fn hetero_class_dag<'a>(
+    class: &'a TrafficClass,
+    profiles: &mut ProfileMemo<'a>,
     pools: &[DevicePool],
     allowed: &[usize],
 ) -> Result<HeteroQueryDag, PlanError> {
@@ -483,26 +529,16 @@ fn hetero_class_dag(
         .iter()
         .enumerate()
         .map(|(si, stage)| {
-            let spec =
-                nexus_profile::by_name(&stage.model).ok_or_else(|| PlanError::UnknownModel {
-                    model: stage.model.clone(),
-                })?;
             let candidates = allowed
                 .iter()
                 .map(|&pi| {
-                    let mut profile = spec
-                        .profile_on(&pools[pi].device)
-                        .effective(cfg.overlap, cfg.cpu_workers);
-                    if si > 0 {
-                        profile = stretch_profile(&profile, CHILD_BURST_MARGIN);
-                    }
-                    StageCandidate {
+                    Ok(StageCandidate {
                         class: pools[pi].device.name.to_string(),
-                        profile,
+                        profile: profiles.split(&stage.model, pi, si > 0)?.clone(),
                         price: pools[pi].device.hourly_price_usd,
-                    }
+                    })
                 })
-                .collect();
+                .collect::<Result<Vec<_>, PlanError>>()?;
             Ok(HeteroQueryStage {
                 name: stage.model.clone(),
                 candidates,
@@ -539,36 +575,64 @@ fn squishy_spread(
     if alloc.gpu_count() >= cap || alloc.plans.is_empty() {
         return alloc;
     }
-    let rate_of =
-        |id: SessionId| -> f64 { specs.iter().find(|s| s.id == id).map_or(0.0, |s| s.rate) };
-    // Replicas hosting each session, across all plans — maintained
-    // incrementally as replicas are added (rebuilding it every iteration
-    // made the loop O(plans² · entries)).
-    let mut hosts: std::collections::HashMap<SessionId, u32> = std::collections::HashMap::new();
-    for p in &alloc.plans {
-        for e in &p.entries {
-            *hosts.entry(e.session).or_insert(0) += 1;
+    // Dense session numbering (the first spec wins a duplicated id), so
+    // rates and replica counts are array reads instead of a scan over
+    // `specs` per plan entry per replica added.
+    let mut index: HashMap<SessionId, usize> = HashMap::with_capacity(specs.len());
+    let mut rates: Vec<f64> = Vec::with_capacity(specs.len());
+    for s in specs {
+        index.entry(s.id).or_insert_with(|| {
+            rates.push(s.rate);
+            rates.len() - 1
+        });
+    }
+    // Per plan, its entries' sessions in entry order; per session, the
+    // replicas hosting it across all plans and which plans those are.
+    let mut members: Vec<Vec<usize>> = alloc
+        .plans
+        .iter()
+        .map(|p| p.entries.iter().map(|e| index[&e.session]).collect())
+        .collect();
+    let mut hosts = vec![0u32; rates.len()];
+    let mut hosted_by: Vec<Vec<usize>> = vec![Vec::new(); rates.len()];
+    for (i, sessions) in members.iter().enumerate() {
+        for &s in sessions {
+            hosts[s] += 1;
+            hosted_by[s].push(i);
         }
     }
+    // Offered load per replica of a plan, summed in entry order.
+    let load = |sessions: &[usize], hosts: &[u32]| -> f64 {
+        sessions
+            .iter()
+            .map(|&s| rates[s] / f64::from(hosts[s]))
+            .sum()
+    };
+    let mut loads: Vec<f64> = members.iter().map(|m| load(m, &hosts)).collect();
     while alloc.plans.len() < cap {
-        // Offered load per replica of each plan; replicate the hottest.
+        // Replicate the hottest plan (first of equals).
         let (mut best, mut best_load) = (0usize, -1.0f64);
-        for (i, p) in alloc.plans.iter().enumerate() {
-            let load: f64 = p
-                .entries
-                .iter()
-                .map(|e| rate_of(e.session) / f64::from(hosts[&e.session]))
-                .sum();
-            if load > best_load {
-                best_load = load;
+        for (i, &l) in loads.iter().enumerate() {
+            if l > best_load {
+                best_load = l;
                 best = i;
             }
         }
-        let clone = alloc.plans[best].clone();
-        for e in &clone.entries {
-            *hosts.entry(e.session).or_insert(0) += 1;
+        let replica = alloc.plans.len();
+        alloc.plans.push(alloc.plans[best].clone());
+        members.push(members[best].clone());
+        loads.push(0.0);
+        for &s in &members[replica] {
+            hosts[s] += 1;
+            hosted_by[s].push(replica);
         }
-        alloc.plans.push(clone);
+        // Only plans sharing a session with the replica changed load; each
+        // is re-summed from scratch so it is the f64 a full pass computes.
+        for &s in &members[replica] {
+            for &i in &hosted_by[s] {
+                loads[i] = load(&members[i], &hosts);
+            }
+        }
     }
     alloc
 }
@@ -646,6 +710,7 @@ pub fn plan_pooled(
     assert!(!pools.is_empty(), "need at least one device pool");
     assert_eq!(avail.len(), pools.len(), "one avail cap per pool");
     let devices: Vec<DeviceType> = pools.iter().map(|p| p.device).collect();
+    let mut profiles = ProfileMemo::new(cfg, &devices);
     let mut sessions = Vec::new();
     let mut all_budgets = Vec::new();
     // Fractional GPUs already committed per pool; steers later classes away
@@ -654,7 +719,7 @@ pub fn plan_pooled(
     for (ci, class) in classes.iter().enumerate() {
         let root_rate = rates.map_or(class.rate, |r| r[ci]);
         let (budgets, stage_pools, stage_gpus) =
-            pooled_stage_plan(class, cfg, pools, avail, &pool_load, root_rate)?;
+            pooled_stage_plan(class, &mut profiles, pools, avail, &pool_load, root_rate)?;
         for (si, &pi) in stage_pools.iter().enumerate() {
             pool_load[pi] += stage_gpus[si];
         }
@@ -662,11 +727,10 @@ pub fn plan_pooled(
             &mut sessions,
             ci,
             class,
-            cfg,
+            &mut profiles,
             root_rate,
             &budgets,
             &stage_pools,
-            &devices,
         )?;
         all_budgets.push(budgets);
     }
@@ -674,9 +738,7 @@ pub fn plan_pooled(
     let mut pool_plans = Vec::with_capacity(pools.len());
     let mut first_backend = 0usize;
     for (pi, pool) in pools.iter().enumerate() {
-        let pool_sessions: Vec<RuntimeSession> =
-            sessions.iter().filter(|s| s.pool == pi).cloned().collect();
-        let mut allocation = schedule_pool(&pool_sessions, cfg, &pool.device, avail[pi], pi);
+        let mut allocation = schedule_pool(&sessions, cfg, &pool.device, avail[pi], pi);
         cap_allocation(&mut allocation, avail[pi]);
         let plans = allocation.plans.len();
         pool_plans.push(PoolPlan {
@@ -697,7 +759,7 @@ pub fn plan_pooled(
     })
 }
 
-/// Runs the configured scheduler over the sessions of one pool.
+/// Runs the configured scheduler over the sessions planned on `pool`.
 fn schedule_pool(
     sessions: &[RuntimeSession],
     cfg: &SystemConfig,
@@ -731,12 +793,9 @@ fn cap_allocation(allocation: &mut Allocation, max_gpus: u32) {
     let mut order: Vec<usize> = (0..allocation.plans.len()).collect();
     order.sort_by(|&a, &b| {
         let (pa, pb) = (&allocation.plans[a], &allocation.plans[b]);
-        pb.occupancy
-            .partial_cmp(&pa.occupancy)
-            .expect("finite occupancy")
-            .then(a.cmp(&b))
+        pb.occupancy.total_cmp(&pa.occupancy).then(a.cmp(&b))
     });
-    let mut covered: std::collections::HashSet<SessionId> = std::collections::HashSet::new();
+    let mut covered: HashSet<SessionId> = HashSet::new();
     let mut keep: Vec<usize> = Vec::with_capacity(max_gpus as usize);
     let mut rest: Vec<usize> = Vec::new();
     for i in order {
@@ -781,11 +840,68 @@ fn build_route_table(nsessions: usize, pools: &[PoolPlan]) -> Vec<Vec<RouteTarge
     routes
 }
 
+/// The replication loop as it was before loads were kept incrementally,
+/// verbatim: every plan's load re-derived for every replica added, each
+/// rate found by a scan over `specs`. The differential test asserts the
+/// incremental loop clones the same plans in the same order.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The original `squishy_spread`.
+    pub fn squishy_spread(
+        specs: &[SessionSpec],
+        gpu_memory: u64,
+        max_gpus: u32,
+        spread_factor: f64,
+    ) -> Allocation {
+        let mut alloc = squishy_bin_packing(specs, gpu_memory);
+        let cap =
+            (max_gpus as usize).min((alloc.gpu_count() as f64 * spread_factor).floor() as usize);
+        if alloc.gpu_count() >= cap || alloc.plans.is_empty() {
+            return alloc;
+        }
+        let rate_of =
+            |id: SessionId| -> f64 { specs.iter().find(|s| s.id == id).map_or(0.0, |s| s.rate) };
+        // Replicas hosting each session, across all plans — maintained
+        // incrementally as replicas are added (rebuilding it every iteration
+        // made the loop O(plans² · entries)).
+        let mut hosts: HashMap<SessionId, u32> = HashMap::new();
+        for p in &alloc.plans {
+            for e in &p.entries {
+                *hosts.entry(e.session).or_insert(0) += 1;
+            }
+        }
+        while alloc.plans.len() < cap {
+            // Offered load per replica of each plan; replicate the hottest.
+            let (mut best, mut best_load) = (0usize, -1.0f64);
+            for (i, p) in alloc.plans.iter().enumerate() {
+                let load: f64 = p
+                    .entries
+                    .iter()
+                    .map(|e| rate_of(e.session) / f64::from(hosts[&e.session]))
+                    .sum();
+                if load > best_load {
+                    best_load = load;
+                    best = i;
+                }
+            }
+            let clone = alloc.plans[best].clone();
+            for e in &clone.entries {
+                *hosts.entry(e.session).or_insert(0) += 1;
+            }
+            alloc.plans.push(clone);
+        }
+        alloc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use nexus_profile::GPU_GTX1080TI;
     use nexus_workload::apps;
+    use proptest::prelude::*;
 
     fn class(rate: f64) -> TrafficClass {
         TrafficClass::new(apps::traffic(), ArrivalKind::Uniform, rate)
@@ -887,6 +1003,33 @@ mod tests {
         assert!(free.gpu_count() > 4);
     }
 
+    /// A plan whose occupancy is NaN (a degenerate profile dividing zero
+    /// latency by a zero duty cycle) orders like any other value instead of
+    /// panicking the control plane, and every session keeps a replica.
+    #[test]
+    fn nan_occupancy_plan_is_capped_without_panicking() {
+        let node = |session: u32, occupancy: f64| GpuPlan {
+            duty_cycle: Micros::from_millis(10),
+            entries: vec![nexus_scheduler::PlanEntry {
+                session: SessionId(session),
+                batch: 1,
+                exec_latency: Micros::from_millis(5),
+            }],
+            saturated: false,
+            occupancy,
+            memory_bytes: 0,
+        };
+        let mut allocation = Allocation {
+            plans: vec![node(0, 0.9), node(0, 0.5), node(1, f64::NAN), node(2, 0.2)],
+            infeasible: Vec::new(),
+        };
+        cap_allocation(&mut allocation, 3);
+        assert_eq!(allocation.plans.len(), 3);
+        for session in 0..3 {
+            assert!(allocation.plans.iter().any(|p| p.hosts(SessionId(session))));
+        }
+    }
+
     #[test]
     fn rate_override_rescales_sessions() {
         let cfg = SystemConfig::nexus();
@@ -964,5 +1107,48 @@ mod tests {
         ];
         let flipped = deadline_offsets(&app, &flipped_budgets);
         assert_eq!(flipped[3], Micros::from_millis(240));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The incremental replication loop returns the `Allocation` the
+        /// re-derive-everything loop returned. Sessions are drawn from a
+        /// few shapes (so equal-load ties are common), hot ones saturate
+        /// several GPUs (a session hosted by many plans) and light ones
+        /// share residual nodes.
+        #[test]
+        fn incremental_spread_matches_rederiving_every_load(
+            picks in prop::collection::vec((0usize..4, 0usize..6), 1..24),
+            max_gpus in 0u32..90,
+            spread_idx in 0usize..3,
+        ) {
+            let shapes = [
+                (BatchingProfile::from_linear_ms(1.0, 8.0, 32), 150),
+                (BatchingProfile::from_linear_ms(2.5, 20.0, 64), 400),
+                (BatchingProfile::from_linear_ms(0.2, 1.0, 16), 60),
+                (BatchingProfile::from_linear_ms(1.0, 30.0, 8), 40), // infeasible
+            ];
+            let rates = [0.0, 3.0, 3.0, 40.0, 700.0, 2_500.0];
+            let specs: Vec<SessionSpec> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &(shape, rate))| {
+                    let (profile, slo_ms) = &shapes[shape];
+                    SessionSpec::new(
+                        SessionId(i as u32 * 3),
+                        profile.clone(),
+                        Micros::from_millis(*slo_ms),
+                        rates[rate],
+                    )
+                })
+                .collect();
+            let spread = [1.0, 1.4, 4.0][spread_idx];
+            let memory = GPU_GTX1080TI.memory_bytes;
+            prop_assert_eq!(
+                squishy_spread(&specs, memory, max_gpus, spread),
+                reference::squishy_spread(&specs, memory, max_gpus, spread)
+            );
+        }
     }
 }

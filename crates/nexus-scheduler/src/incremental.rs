@@ -9,7 +9,7 @@
 //! reported so the control plane can account for reconfiguration delay —
 //! the source of Fig. 13's sporadic bad-rate spikes.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use crate::session::SessionId;
 use crate::squishy::GpuPlan;
@@ -27,37 +27,65 @@ pub struct PlanAssignment {
     pub model_loads: usize,
 }
 
-fn session_set(plan: &GpuPlan) -> HashSet<SessionId> {
-    plan.entries.iter().map(|e| e.session).collect()
+/// The distinct sessions a plan hosts (a session listed twice counts once).
+fn distinct_sessions(plan: &GpuPlan) -> Vec<SessionId> {
+    let mut sessions: Vec<SessionId> = plan.entries.iter().map(|e| e.session).collect();
+    sessions.sort_unstable();
+    sessions.dedup();
+    sessions
 }
 
 /// Greedily matches new plans to previous backends, maximizing resident-
 /// model reuse (largest overlap first, ties to lower indices for
 /// determinism).
 pub fn assign_plans(prev: &[GpuPlan], next: &[GpuPlan]) -> PlanAssignment {
-    let prev_sets: Vec<HashSet<SessionId>> = prev.iter().map(session_set).collect();
-    let next_sets: Vec<HashSet<SessionId>> = next.iter().map(session_set).collect();
+    // Session → the previous plans hosting it. Walking it per new plan
+    // visits only the (next, prev) pairs that share a session, where
+    // intersecting every pair of session sets visited all of them.
+    let mut hosted_by: HashMap<SessionId, Vec<usize>> = HashMap::new();
+    for (pi, plan) in prev.iter().enumerate() {
+        for s in distinct_sessions(plan) {
+            hosted_by.entry(s).or_default().push(pi);
+        }
+    }
 
     // All (overlap, next, prev) candidates with non-zero overlap.
     let mut cands: Vec<(usize, usize, usize)> = Vec::new();
-    for (ni, ns) in next_sets.iter().enumerate() {
-        for (pi, ps) in prev_sets.iter().enumerate() {
-            let overlap = ns.intersection(ps).count();
-            if overlap > 0 {
-                cands.push((overlap, ni, pi));
+    let mut overlap = vec![0usize; prev.len()];
+    let mut next_sizes = Vec::with_capacity(next.len());
+    for (ni, plan) in next.iter().enumerate() {
+        let sessions = distinct_sessions(plan);
+        next_sizes.push(sessions.len());
+        let first = cands.len();
+        for s in &sessions {
+            for &pi in hosted_by.get(s).map_or(&[][..], Vec::as_slice) {
+                if overlap[pi] == 0 {
+                    cands.push((0, ni, pi));
+                }
+                overlap[pi] += 1;
             }
         }
+        for cand in &mut cands[first..] {
+            cand.0 = std::mem::take(&mut overlap[cand.2]);
+        }
     }
-    cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    // The key is total (no two candidates share a (next, prev) pair), so the
+    // order does not depend on the order the candidates were found in.
+    cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
     let mut backend_for = vec![None; next.len()];
     let mut prev_used = vec![false; prev.len()];
     let mut next_done = vec![false; next.len()];
-    for (_, ni, pi) in cands {
+    // Sessions already resident where their plan lands. Only the overlap
+    // matches below contribute: an idle backend handed out afterwards
+    // shares no session with its plan, or the pair would have matched.
+    let mut resident = 0usize;
+    for (shared, ni, pi) in cands {
         if !next_done[ni] && !prev_used[pi] {
             backend_for[ni] = Some(pi);
             next_done[ni] = true;
             prev_used[pi] = true;
+            resident += shared;
         }
     }
     // Unmatched new plans reuse any remaining idle backend (no residency
@@ -74,14 +102,7 @@ pub fn assign_plans(prev: &[GpuPlan], next: &[GpuPlan]) -> PlanAssignment {
     }
 
     let released = (0..prev.len()).filter(|&p| !prev_used[p]).collect();
-    let model_loads = next_sets
-        .iter()
-        .enumerate()
-        .map(|(ni, ns)| match backend_for[ni] {
-            Some(pi) => ns.difference(&prev_sets[pi]).count(),
-            None => ns.len(),
-        })
-        .sum();
+    let model_loads = next_sizes.iter().sum::<usize>() - resident;
 
     PlanAssignment {
         backend_for,
@@ -90,11 +111,85 @@ pub fn assign_plans(prev: &[GpuPlan], next: &[GpuPlan]) -> PlanAssignment {
     }
 }
 
+/// The all-pairs matcher this module used before the inverted index, kept
+/// verbatim as the oracle: the differential test asserts the index emits
+/// the same candidates and so the same assignment, releases and loads.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::HashSet;
+
+    use super::*;
+
+    fn session_set(plan: &GpuPlan) -> HashSet<SessionId> {
+        plan.entries.iter().map(|e| e.session).collect()
+    }
+
+    /// The original `assign_plans`: every (next, prev) pair intersected.
+    pub fn assign_plans(prev: &[GpuPlan], next: &[GpuPlan]) -> PlanAssignment {
+        let prev_sets: Vec<HashSet<SessionId>> = prev.iter().map(session_set).collect();
+        let next_sets: Vec<HashSet<SessionId>> = next.iter().map(session_set).collect();
+
+        // All (overlap, next, prev) candidates with non-zero overlap.
+        let mut cands: Vec<(usize, usize, usize)> = Vec::new();
+        for (ni, ns) in next_sets.iter().enumerate() {
+            for (pi, ps) in prev_sets.iter().enumerate() {
+                let overlap = ns.intersection(ps).count();
+                if overlap > 0 {
+                    cands.push((overlap, ni, pi));
+                }
+            }
+        }
+        cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+
+        let mut backend_for = vec![None; next.len()];
+        let mut prev_used = vec![false; prev.len()];
+        let mut next_done = vec![false; next.len()];
+        for (_, ni, pi) in cands {
+            if !next_done[ni] && !prev_used[pi] {
+                backend_for[ni] = Some(pi);
+                next_done[ni] = true;
+                prev_used[pi] = true;
+            }
+        }
+        // Unmatched new plans reuse any remaining idle backend (no residency
+        // benefit, but avoids acquiring a node).
+        let mut free_prev: Vec<usize> = (0..prev.len()).filter(|&p| !prev_used[p]).collect();
+        for ni in 0..next.len() {
+            if !next_done[ni] {
+                if let Some(pi) = free_prev.pop() {
+                    backend_for[ni] = Some(pi);
+                    prev_used[pi] = true;
+                    next_done[ni] = true;
+                }
+            }
+        }
+
+        let released = (0..prev.len()).filter(|&p| !prev_used[p]).collect();
+        let model_loads = next_sets
+            .iter()
+            .enumerate()
+            .map(|(ni, ns)| match backend_for[ni] {
+                Some(pi) => ns.difference(&prev_sets[pi]).count(),
+                None => ns.len(),
+            })
+            .sum();
+
+        PlanAssignment {
+            backend_for,
+            released,
+            model_loads,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::squishy::PlanEntry;
     use nexus_profile::Micros;
+    use proptest::prelude::*;
 
     fn plan(sessions: &[u32]) -> GpuPlan {
         GpuPlan {
@@ -224,5 +319,36 @@ mod tests {
         assert!(a.backend_for.iter().all(|b| b.is_some()));
         assert!(a.released.is_empty());
         assert_eq!(a.model_loads, 2);
+    }
+
+    /// Plan lists over a small session universe, so overlaps, replicas
+    /// (the same session set on several plans) and equal-overlap ties are
+    /// the common case; plans may list a session twice or be empty.
+    fn arb_plans() -> impl Strategy<Value = Vec<GpuPlan>> {
+        prop::collection::vec(prop::collection::vec(0u32..12, 0..6), 0..14)
+            .prop_map(|plans| plans.iter().map(|sessions| plan(sessions)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The inverted index finds exactly the pairs the all-pairs
+        /// intersection found: same matches, releases and load count.
+        #[test]
+        fn inverted_index_matches_all_pairs(
+            prev in arb_plans(),
+            next in arb_plans(),
+            replicas in 0usize..4,
+        ) {
+            // Replicate the head of each side, as `squishy_spread` does.
+            let with_replicas = |plans: &[GpuPlan]| -> Vec<GpuPlan> {
+                let head = plans.iter().take(replicas).cloned();
+                plans.iter().cloned().chain(head).collect()
+            };
+            let (prev, next) = (with_replicas(&prev), with_replicas(&next));
+            prop_assert_eq!(assign_plans(&prev, &next), reference::assign_plans(&prev, &next));
+            prop_assert_eq!(assign_plans(&prev, &[]), reference::assign_plans(&prev, &[]));
+            prop_assert_eq!(assign_plans(&[], &next), reference::assign_plans(&[], &next));
+        }
     }
 }

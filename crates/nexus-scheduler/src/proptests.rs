@@ -14,6 +14,16 @@ use crate::squishy::{lower_bound_gpus, squishy_bin_packing};
 
 const GPU_MEM: u64 = 11 << 30;
 
+/// A session on the linear profile `ℓ(b) = α·b + β`, max batch 64.
+fn linear_session(id: u32, alpha_us: f64, beta_us: f64, slo_ms: u64, rate: f64) -> SessionSpec {
+    SessionSpec::new(
+        SessionId(id),
+        BatchingProfile::from_linear_us(alpha_us, beta_us, 64),
+        Micros::from_millis(slo_ms),
+        rate,
+    )
+}
+
 fn arb_session(id: u32) -> impl Strategy<Value = SessionSpec> {
     (
         20.0f64..3_000.0,    // alpha us
@@ -21,14 +31,7 @@ fn arb_session(id: u32) -> impl Strategy<Value = SessionSpec> {
         40u64..600,          // slo ms
         0.5f64..500.0,       // rate
     )
-        .prop_map(move |(alpha, beta, slo, rate)| {
-            SessionSpec::new(
-                SessionId(id),
-                BatchingProfile::from_linear_us(alpha, beta, 64),
-                Micros::from_millis(slo),
-                rate,
-            )
-        })
+        .prop_map(move |(alpha, beta, slo, rate)| linear_session(id, alpha, beta, slo, rate))
 }
 
 fn arb_sessions(n: usize) -> impl Strategy<Value = Vec<SessionSpec>> {
@@ -42,14 +45,7 @@ fn arb_light_session(id: u32) -> impl Strategy<Value = SessionSpec> {
         80u64..600,
         0.5f64..15.0,
     )
-        .prop_map(move |(alpha, beta, slo, rate)| {
-            SessionSpec::new(
-                SessionId(id),
-                BatchingProfile::from_linear_us(alpha, beta, 64),
-                Micros::from_millis(slo),
-                rate,
-            )
-        })
+        .prop_map(move |(alpha, beta, slo, rate)| linear_session(id, alpha, beta, slo, rate))
 }
 
 fn arb_light_sessions(n: usize) -> impl Strategy<Value = Vec<SessionSpec>> {
@@ -172,4 +168,60 @@ proptest! {
         let b = squishy_bin_packing(&sessions, GPU_MEM);
         prop_assert_eq!(a, b);
     }
+}
+
+/// Worst `squishy GPUs / exact optimum` over the sweep below, measured when
+/// it was written.
+const WORST_GAP_TO_EXACT: f64 = 3.0;
+
+/// The greedy packer's distance from the optimum as a bounded claim rather
+/// than an anecdote: a fixed sweep of 6- to 12-session instances drawn from
+/// the `arb_light_session` family (α 20–1 500 µs, β 0.1–60 ms, SLO
+/// 80–600 ms, 0.5–15 req/s, max batch 64; 40 seeds per size, residual
+/// regime only) against [`exact_residual_min_gpus`]. Squishy never beats
+/// the optimum and is never more than [`WORST_GAP_TO_EXACT`] times it. A
+/// packer change that widens the gap fails here; one that narrows it
+/// should lower the constant (DESIGN §18 has the distribution behind it).
+#[test]
+fn squishy_gap_to_exact_is_bounded() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut worst = 1.0f64;
+    let mut compared = 0;
+    for n in 6..=12u32 {
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed * 100 + u64::from(n));
+            let sessions: Vec<SessionSpec> = (0..n)
+                .map(|id| {
+                    linear_session(
+                        id,
+                        rng.gen_range(20.0..1_500.0),
+                        rng.gen_range(100.0..60_000.0),
+                        rng.gen_range(80u64..600),
+                        rng.gen_range(0.5..15.0),
+                    )
+                })
+                .collect();
+            let greedy = squishy_bin_packing(&sessions, GPU_MEM);
+            // The exact solver covers the residual problem only.
+            if !greedy.infeasible.is_empty() || greedy.plans.iter().any(|p| p.saturated) {
+                continue;
+            }
+            let exact = exact_residual_min_gpus(&sessions, GPU_MEM)
+                .expect("squishy placed every session, so each fits a GPU alone");
+            assert!(
+                greedy.gpu_count() >= exact,
+                "n={n} seed={seed}: squishy used {} GPUs, below the optimum {exact}",
+                greedy.gpu_count()
+            );
+            worst = worst.max(greedy.gpu_count() as f64 / exact as f64);
+            compared += 1;
+        }
+    }
+    assert!(compared >= 250, "only {compared} of 280 instances compared");
+    assert!(
+        worst <= WORST_GAP_TO_EXACT,
+        "squishy / exact reached {worst}, above the pinned {WORST_GAP_TO_EXACT}"
+    );
 }

@@ -170,12 +170,38 @@ pub fn optimize_latency_split(
 
     for u in (0..n).rev() {
         let stage = &dag.stages[u];
-        for t in 0..=steps {
-            let mut best = INF;
-            let mut best_k = 0usize;
-            for k in 1..=t {
-                let window = Micros::from_micros(k as u64 * eps);
-                let Some(own) = stage_cost(&stage.profile, rates[u], window) else {
+        // The stage's own demand depends on its window `k`, not on the
+        // subtree budget `t`: tabulate it once instead of per (t, k).
+        let own: Vec<Option<f64>> = (0..=steps)
+            .map(|k| {
+                stage_cost(
+                    &stage.profile,
+                    rates[u],
+                    Micros::from_micros(k as u64 * eps),
+                )
+            })
+            .collect();
+        let Some(first_k) = (1..=steps).find(|&k| own[k].is_some()) else {
+            continue;
+        };
+        // Nothing reads the root's row below the full budget. A leaf's cost
+        // ignores the budget left over, so budget t's scan is budget t−1's
+        // followed by window t alone: it carries the running minimum
+        // forward instead of rescanning — the same comparisons in the same
+        // order, so the same first-of-equals winner.
+        let root = u == 0;
+        let leaf = !root && stage.children.is_empty();
+        let first_t = if root { steps } else { first_k };
+        let (mut best, mut best_k) = (INF, 0usize);
+        for t in first_t..=steps {
+            let from = if leaf {
+                t
+            } else {
+                (best, best_k) = (INF, 0);
+                first_k
+            };
+            for k in from..=t {
+                let Some(own) = own[k] else {
                     continue;
                 };
                 let remaining = t - k;
@@ -394,25 +420,48 @@ pub struct HeteroSplit {
     pub cost: f64,
 }
 
-/// Per-rung stage demand: the best throughput over the candidate's batch
-/// ladder rungs `b` with `2ℓ(b) ≤ window` (the same feasibility rule the
-/// runtime's duty-cycle execution uses), as `rate / (b/ℓ(b))` GPUs.
-/// `None` if even the bottom rung misses the window.
-fn ladder_stage_cost(ladder: &BatchLadder, rate: f64, window: Micros) -> Option<f64> {
-    if rate <= 0.0 {
-        return Some(0.0);
-    }
-    let mut best: Option<f64> = None;
-    for (i, &b) in ladder.rungs().iter().enumerate() {
-        let lat = ladder.latency_at(i);
-        if lat.as_micros().saturating_mul(2) <= window.as_micros() {
+/// A candidate's batch ladder reduced to what the split DP asks of it: for
+/// a window, the best throughput over the rungs `b` with `2ℓ(b) ≤ window`
+/// (the same feasibility rule the runtime's duty-cycle execution uses).
+/// Rung latencies are non-decreasing (the profile invariant
+/// [`BatchLadder::largest_rung_within`] also leans on), so the feasible
+/// rungs are a prefix and the best throughput over each prefix is computed
+/// once, by the same strict `>` scan a per-window pass would make.
+struct LadderThroughput {
+    /// Rung latencies, ascending.
+    latencies: Vec<Micros>,
+    /// `best[i]`: highest `b/ℓ(b)` over rungs `0..=i`.
+    best: Vec<f64>,
+}
+
+impl LadderThroughput {
+    fn new(ladder: &BatchLadder) -> Self {
+        let mut latencies = Vec::with_capacity(ladder.rungs().len());
+        let mut best = Vec::with_capacity(ladder.rungs().len());
+        let mut so_far: Option<f64> = None;
+        for (i, &b) in ladder.rungs().iter().enumerate() {
+            let lat = ladder.latency_at(i);
             let throughput = f64::from(b) / lat.as_secs_f64();
-            if best.is_none_or(|t| throughput > t) {
-                best = Some(throughput);
+            if so_far.is_none_or(|t| throughput > t) {
+                so_far = Some(throughput);
             }
+            latencies.push(lat);
+            best.extend(so_far);
         }
+        LadderThroughput { latencies, best }
     }
-    best.map(|t| rate / t)
+
+    /// Per-rung stage demand within `window`, as `rate / (b/ℓ(b))` GPUs.
+    /// `None` if even the bottom rung misses the window.
+    fn stage_cost(&self, rate: f64, window: Micros) -> Option<f64> {
+        if rate <= 0.0 {
+            return Some(0.0);
+        }
+        let feasible = self
+            .latencies
+            .partition_point(|l| l.as_micros().saturating_mul(2) <= window.as_micros());
+        (feasible > 0).then(|| rate / self.best[feasible - 1])
+    }
 }
 
 /// Jointly chooses a device class per stage and a latency split minimizing
@@ -441,14 +490,24 @@ pub fn optimize_hetero_split(
     let rates = dag.stage_rates(root_rate);
     let n = dag.stages.len();
 
-    // Build each candidate's rung ladder once; the DP probes it per window.
-    let ladders: Vec<Vec<BatchLadder>> = dag
+    // own[u][k · |candidates| + ci]: stage u's demand on candidate ci within
+    // a window of k segments. It depends on the window and not on the
+    // subtree budget t, so it is tabulated once instead of per (t, k).
+    let own: Vec<Vec<Option<f64>>> = dag
         .stages
         .iter()
-        .map(|s| {
-            s.candidates
+        .zip(&rates)
+        .map(|(s, &rate)| {
+            let ladders: Vec<LadderThroughput> = s
+                .candidates
                 .iter()
-                .map(|c| BatchLadder::from_profile(&c.profile))
+                .map(|c| LadderThroughput::new(&BatchLadder::from_profile(&c.profile)))
+                .collect();
+            (0..=steps)
+                .flat_map(|k| {
+                    let window = Micros::from_micros(k as u64 * eps);
+                    ladders.iter().map(move |l| l.stage_cost(rate, window))
+                })
                 .collect()
         })
         .collect();
@@ -461,21 +520,41 @@ pub fn optimize_hetero_split(
 
     for u in (0..n).rev() {
         let stage = &dag.stages[u];
-        for t in 0..=steps {
-            let mut best = INF;
-            let mut best_kc = (0usize, 0usize);
-            for k in 1..=t {
-                let window = Micros::from_micros(k as u64 * eps);
-                let remaining = t - k;
+        let own_at = |k: usize| &own[u][k * stage.candidates.len()..][..stage.candidates.len()];
+        // The children's cost depends on the budget left to them alone.
+        let kids: Vec<f64> = (0..=steps)
+            .map(|remaining| {
                 let mut kids = 0.0;
                 for &(c, _) in &stage.children {
                     kids += f[c][remaining];
                 }
+                kids
+            })
+            .collect();
+        // Windows below the first feasible one have no candidate at all.
+        let Some(first_k) = (1..=steps).find(|&k| own_at(k).iter().any(Option::is_some)) else {
+            continue;
+        };
+        // The root is solved at the full budget only and a leaf carries its
+        // running minimum across budgets, as in `optimize_latency_split`.
+        let root = u == 0;
+        let leaf = !root && stage.children.is_empty();
+        let first_t = if root { steps } else { first_k };
+        let (mut best, mut best_kc) = (INF, (0usize, 0usize));
+        for t in first_t..=steps {
+            let from = if leaf {
+                t
+            } else {
+                (best, best_kc) = (INF, (0, 0));
+                first_k
+            };
+            for k in from..=t {
+                let kids = kids[t - k];
                 if kids.is_infinite() {
                     continue;
                 }
-                for (ci, cand) in stage.candidates.iter().enumerate() {
-                    let Some(own) = ladder_stage_cost(&ladders[u][ci], rates[u], window) else {
+                for (ci, (own, cand)) in own_at(k).iter().zip(&stage.candidates).enumerate() {
+                    let Some(own) = own else {
                         continue;
                     };
                     let total = own * cand.price + kids;
@@ -501,11 +580,10 @@ pub fn optimize_hetero_split(
     let mut stack = vec![(0usize, steps)];
     while let Some((u, t)) = stack.pop() {
         let (k, ci) = choice[u][t];
-        let window = Micros::from_micros(k as u64 * eps);
-        budgets[u] = window;
+        budgets[u] = Micros::from_micros(k as u64 * eps);
         classes[u] = ci;
-        stage_gpus[u] = ladder_stage_cost(&ladders[u][ci], rates[u], window)
-            .expect("chosen window is feasible");
+        stage_gpus[u] =
+            own[u][k * dag.stages[u].candidates.len() + ci].expect("chosen window is feasible");
         for &(c, _) in &dag.stages[u].children {
             stack.push((c, t - k));
         }
@@ -526,9 +604,198 @@ pub fn pipeline_avg_throughput(tx: f64, ty: f64, gamma: f64) -> f64 {
     tx * ty / (ty + gamma * tx)
 }
 
+/// The split DPs as they were before the per-window costs were hoisted out
+/// of the `t × k` loops, kept verbatim as oracles: the differential tests
+/// assert the tabulated DPs return the same budgets, classes and `f64`s.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Per-rung stage demand: the best throughput over the candidate's batch
+    /// ladder rungs `b` with `2ℓ(b) ≤ window` (the same feasibility rule the
+    /// runtime's duty-cycle execution uses), as `rate / (b/ℓ(b))` GPUs.
+    /// `None` if even the bottom rung misses the window.
+    pub fn ladder_stage_cost(ladder: &BatchLadder, rate: f64, window: Micros) -> Option<f64> {
+        if rate <= 0.0 {
+            return Some(0.0);
+        }
+        let mut best: Option<f64> = None;
+        for (i, &b) in ladder.rungs().iter().enumerate() {
+            let lat = ladder.latency_at(i);
+            if lat.as_micros().saturating_mul(2) <= window.as_micros() {
+                let throughput = f64::from(b) / lat.as_secs_f64();
+                if best.is_none_or(|t| throughput > t) {
+                    best = Some(throughput);
+                }
+            }
+        }
+        best.map(|t| rate / t)
+    }
+
+    /// The original `optimize_latency_split`: `stage_cost` inside `t × k`.
+    pub fn optimize_latency_split(
+        dag: &QueryDag,
+        slo: Micros,
+        root_rate: f64,
+        segments: u32,
+    ) -> Option<LatencySplit> {
+        assert!(segments >= 1, "need at least one budget segment");
+        let eps = (slo.as_micros() / u64::from(segments)).max(1);
+        let steps = (slo.as_micros() / eps) as usize;
+        let rates = dag.stage_rates(root_rate);
+        let n = dag.stages.len();
+
+        // f[u][t] = min GPUs for u's subtree within budget t·eps; u processed in
+        // reverse index order (children have larger indices than parents).
+        const INF: f64 = f64::INFINITY;
+        let mut f = vec![vec![INF; steps + 1]; n];
+        // choice[u][t] = segments assigned to u's own window at the optimum.
+        let mut choice = vec![vec![0usize; steps + 1]; n];
+
+        for u in (0..n).rev() {
+            let stage = &dag.stages[u];
+            for t in 0..=steps {
+                let mut best = INF;
+                let mut best_k = 0usize;
+                for k in 1..=t {
+                    let window = Micros::from_micros(k as u64 * eps);
+                    let Some(own) = stage_cost(&stage.profile, rates[u], window) else {
+                        continue;
+                    };
+                    let remaining = t - k;
+                    let mut total = own;
+                    for &(c, _) in &stage.children {
+                        total += f[c][remaining];
+                        if total.is_infinite() {
+                            break;
+                        }
+                    }
+                    if total < best {
+                        best = total;
+                        best_k = k;
+                    }
+                }
+                f[u][t] = best;
+                choice[u][t] = best_k;
+            }
+        }
+
+        if f[0][steps].is_infinite() {
+            return None;
+        }
+
+        // Reconstruct budgets: walk the tree handing each child the remaining
+        // budget after the parent's window.
+        let mut budgets = vec![Micros::ZERO; n];
+        let mut stack = vec![(0usize, steps)];
+        while let Some((u, t)) = stack.pop() {
+            let k = choice[u][t];
+            budgets[u] = Micros::from_micros(k as u64 * eps);
+            for &(c, _) in &dag.stages[u].children {
+                stack.push((c, t - k));
+            }
+        }
+        Some(LatencySplit {
+            budgets,
+            gpus: f[0][steps],
+        })
+    }
+
+    /// The original `optimize_hetero_split`: a rung scan per `(t, k, class)`.
+    pub fn optimize_hetero_split(
+        dag: &HeteroQueryDag,
+        slo: Micros,
+        root_rate: f64,
+        segments: u32,
+    ) -> Option<HeteroSplit> {
+        assert!(segments >= 1, "need at least one budget segment");
+        let eps = (slo.as_micros() / u64::from(segments)).max(1);
+        let steps = (slo.as_micros() / eps) as usize;
+        let rates = dag.stage_rates(root_rate);
+        let n = dag.stages.len();
+
+        // Build each candidate's rung ladder once; the DP probes it per window.
+        let ladders: Vec<Vec<BatchLadder>> = dag
+            .stages
+            .iter()
+            .map(|s| {
+                s.candidates
+                    .iter()
+                    .map(|c| BatchLadder::from_profile(&c.profile))
+                    .collect()
+            })
+            .collect();
+
+        // f[u][t] = min dollar cost for u's subtree within budget t·eps.
+        const INF: f64 = f64::INFINITY;
+        let mut f = vec![vec![INF; steps + 1]; n];
+        // choice[u][t] = (own window segments, candidate index) at the optimum.
+        let mut choice = vec![vec![(0usize, 0usize); steps + 1]; n];
+
+        for u in (0..n).rev() {
+            let stage = &dag.stages[u];
+            for t in 0..=steps {
+                let mut best = INF;
+                let mut best_kc = (0usize, 0usize);
+                for k in 1..=t {
+                    let window = Micros::from_micros(k as u64 * eps);
+                    let remaining = t - k;
+                    let mut kids = 0.0;
+                    for &(c, _) in &stage.children {
+                        kids += f[c][remaining];
+                    }
+                    if kids.is_infinite() {
+                        continue;
+                    }
+                    for (ci, cand) in stage.candidates.iter().enumerate() {
+                        let Some(own) = ladder_stage_cost(&ladders[u][ci], rates[u], window) else {
+                            continue;
+                        };
+                        let total = own * cand.price + kids;
+                        if total < best {
+                            best = total;
+                            best_kc = (k, ci);
+                        }
+                    }
+                }
+                f[u][t] = best;
+                choice[u][t] = best_kc;
+            }
+        }
+
+        if f[0][steps].is_infinite() {
+            return None;
+        }
+
+        // Reconstruct: walk the tree handing each child the remaining budget.
+        let mut budgets = vec![Micros::ZERO; n];
+        let mut classes = vec![0usize; n];
+        let mut stage_gpus = vec![0.0; n];
+        let mut stack = vec![(0usize, steps)];
+        while let Some((u, t)) = stack.pop() {
+            let (k, ci) = choice[u][t];
+            let window = Micros::from_micros(k as u64 * eps);
+            budgets[u] = window;
+            classes[u] = ci;
+            stage_gpus[u] = ladder_stage_cost(&ladders[u][ci], rates[u], window)
+                .expect("chosen window is feasible");
+            for &(c, _) in &dag.stages[u].children {
+                stack.push((c, t - k));
+            }
+        }
+        Some(HeteroSplit {
+            budgets,
+            classes,
+            stage_gpus,
+            cost: f[0][steps],
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Model X of Fig. 3: throughputs 200/250/300 req/s at latency budgets
     /// 40/50/60 ms under the 2ℓ(b) ≤ budget rule.
@@ -892,5 +1159,130 @@ mod tests {
                 children: vec![],
             },
         ]);
+    }
+
+    /// Raw material for one random stage: which earlier stage is its
+    /// parent, the edge's γ (one draw in four is 0 — a zero-rate subtree),
+    /// and 1–3 device-class candidates as `(α µs, β µs, max batch, price)`.
+    type RawStage = (usize, (u32, f64), Vec<(f64, f64, u32, f64)>);
+
+    fn arb_stages() -> impl Strategy<Value = Vec<RawStage>> {
+        let candidate = (20.0f64..3_000.0, 100.0f64..80_000.0, 1u32..65, 0.2f64..4.0);
+        prop::collection::vec(
+            (
+                0usize..8,
+                (0u32..4, 0.05f64..3.0),
+                prop::collection::vec(candidate, 1..4),
+            ),
+            1..6,
+        )
+    }
+
+    /// Builds the random tree: stage `i > 0` hangs off stage `pick % i`.
+    fn hetero_tree(raw: &[RawStage]) -> HeteroQueryDag {
+        let mut children: Vec<Vec<(usize, f64)>> = vec![Vec::new(); raw.len()];
+        for (i, (pick, (zero, gamma), _)) in raw.iter().enumerate().skip(1) {
+            children[pick % i].push((i, if *zero == 0 { 0.0 } else { *gamma }));
+        }
+        HeteroQueryDag::new(
+            raw.iter()
+                .zip(children)
+                .enumerate()
+                .map(|(i, ((_, _, cands), children))| HeteroQueryStage {
+                    name: format!("s{i}"),
+                    candidates: cands
+                        .iter()
+                        .map(|&(alpha, beta, max_batch, price)| {
+                            cand(
+                                BatchingProfile::from_linear_us(alpha, beta, max_batch),
+                                "class",
+                                price,
+                            )
+                        })
+                        .collect(),
+                    children,
+                })
+                .collect(),
+        )
+    }
+
+    /// The same tree with every stage on its first candidate.
+    fn first_candidate_tree(dag: &HeteroQueryDag) -> QueryDag {
+        QueryDag::new(
+            dag.stages
+                .iter()
+                .map(|s| QueryStage {
+                    name: s.name.clone(),
+                    profile: s.candidates[0].profile.clone(),
+                    children: s.children.clone(),
+                })
+                .collect(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both DPs return exactly what they returned before their
+        /// per-window costs were tabulated — budgets, classes and every
+        /// `f64` — on random trees, including zero-rate stages, zero root
+        /// rates and SLOs too tight for any split.
+        #[test]
+        fn tabulated_dps_match_the_unhoisted_ones(
+            raw in arb_stages(),
+            slo_ms in 2u64..900,
+            rate_kind in 0u32..5,
+            root_rate in 0.5f64..2_000.0,
+            segments_idx in 0usize..4,
+        ) {
+            let dag = hetero_tree(&raw);
+            let slo = Micros::from_millis(slo_ms);
+            let root_rate = if rate_kind == 0 { 0.0 } else { root_rate };
+            let segments = [1u32, 7, 50, 120][segments_idx];
+            prop_assert_eq!(
+                optimize_hetero_split(&dag, slo, root_rate, segments),
+                reference::optimize_hetero_split(&dag, slo, root_rate, segments)
+            );
+            let single = first_candidate_tree(&dag);
+            prop_assert_eq!(
+                optimize_latency_split(&single, slo, root_rate, segments),
+                reference::optimize_latency_split(&single, slo, root_rate, segments)
+            );
+        }
+
+        /// The prefix-maximum table answers every window with the `f64`
+        /// the per-window rung scan computes.
+        #[test]
+        fn ladder_throughput_table_matches_the_rung_scan(
+            alpha_us in 20.0f64..3_000.0,
+            beta_us in 100.0f64..80_000.0,
+            max_batch in 1u32..130,
+            rate_kind in 0u32..5,
+            rate in 0.5f64..2_000.0,
+        ) {
+            let profile = BatchingProfile::from_linear_us(alpha_us, beta_us, max_batch);
+            let ladder = BatchLadder::from_profile(&profile);
+            let table = LadderThroughput::new(&ladder);
+            let rate = if rate_kind == 0 { 0.0 } else { rate };
+            let top = 2 * profile.latency(max_batch).as_micros() + 3;
+            for i in 0..=200u64 {
+                // Sweep past the top rung, and probe each rung's exact edge.
+                let window = Micros::from_micros(top * i / 200);
+                prop_assert_eq!(
+                    table.stage_cost(rate, window),
+                    reference::ladder_stage_cost(&ladder, rate, window)
+                );
+            }
+            for i in 0..ladder.rungs().len() {
+                for edge in [0u64, 1, 2] {
+                    let window =
+                        Micros::from_micros((2 * ladder.latency_at(i).as_micros() + edge) - 1);
+                    prop_assert_eq!(
+                        table.stage_cost(rate, window),
+                        reference::ladder_stage_cost(&ladder, rate, window)
+                    );
+                }
+            }
+        }
     }
 }

@@ -98,6 +98,14 @@ struct Node {
     memory: u64,
 }
 
+/// Internal: what merging a residual into a node would make of it, short
+/// of the re-batched member list.
+struct Merge {
+    duty: Micros,
+    occ: f64,
+    memory: u64,
+}
+
 /// Internal: one session packed into a shared node.
 struct Member {
     spec_index: usize,
@@ -205,24 +213,19 @@ pub fn squishy_bin_packing_with(
     }
 
     // Phase 2: ScheduleResidue — best-fit decreasing by occupancy.
-    residuals.sort_by(|a, b| {
-        b.occ
-            .partial_cmp(&a.occ)
-            .expect("occupancies are finite")
-            .then(a.session.cmp(&b.session))
-    });
+    residuals.sort_by(|a, b| b.occ.total_cmp(&a.occ).then(a.session.cmp(&b.session)));
 
     let mut nodes: Vec<Node> = Vec::new();
     for r in &residuals {
-        let mut best: Option<(usize, Node)> = None;
+        let mut best: Option<(usize, Merge)> = None;
         for (ni, node) in nodes.iter().enumerate() {
-            if let Some(merged) = try_merge(node, r, sessions, &ladders, gpu_memory) {
+            if let Some(merge) = try_merge(node, r, sessions, &ladders, gpu_memory) {
                 let better = match &best {
-                    Some((_, b)) => merged.occ > b.occ,
+                    Some((_, b)) => merge.occ > b.occ,
                     None => true,
                 };
                 if better {
-                    best = Some((ni, merged));
+                    best = Some((ni, merge));
                 }
                 if order == MergeOrder::FirstFit {
                     break;
@@ -230,7 +233,7 @@ pub fn squishy_bin_packing_with(
             }
         }
         match best {
-            Some((ni, merged)) => nodes[ni] = merged,
+            Some((ni, merge)) => nodes[ni].apply(merge, r, sessions, &ladders),
             None => nodes.push(Node {
                 duty: r.duty,
                 members: vec![Member {
@@ -320,26 +323,43 @@ fn residual_params(s: &SessionSpec, ladder: &BatchLadder, rate: f64) -> Option<(
     None
 }
 
+/// The rung a member at `rate` runs under duty cycle `duty`, with its
+/// latency: the batch that sustains the rate, `ceil(d·r)`, rounded up to the
+/// covering ladder rung the dispatcher will actually run. `None` when even
+/// the profile's largest batch cannot sustain the rate.
+fn member_rung(
+    s: &SessionSpec,
+    ladder: &BatchLadder,
+    duty: Micros,
+    rate: f64,
+) -> Option<(u32, Micros)> {
+    let needed = ((duty.as_secs_f64() * rate).ceil() as u32).max(1);
+    (needed <= s.profile.max_batch()).then(|| ladder.smallest_rung_geq(needed))
+}
+
 /// Attempts to merge residual `r` into `node` (Fig. 7): the new duty cycle
 /// is the smaller of the two, member batches shrink to `ceil(d·rate)`
-/// rounded up to the covering ladder rung, and the merge is legal iff the
-/// batch executions fit in the duty cycle, every member still meets its
-/// SLO, and the models fit in memory together. Rounding up to a rung
+/// rounded up to the covering ladder rung (`b' ≤ b`), and the merge is legal
+/// iff the batch executions fit in the duty cycle, every member still meets
+/// its SLO, and the models fit in memory together. Rounding up to a rung
 /// preserves capacity (`b/d` only grows) but charges the rung's latency,
 /// so the legality checks see exactly what ladder execution will cost.
+///
+/// Allocates nothing: the packer probes every open node per residual and
+/// keeps one, so only the winner's member list is rebuilt
+/// ([`Node::apply`]).
 fn try_merge(
     node: &Node,
     r: &Residual,
     sessions: &[SessionSpec],
     ladders: &[BatchLadder],
     gpu_memory: u64,
-) -> Option<Node> {
+) -> Option<Merge> {
     let memory = node.memory + sessions[r.spec_index].profile.memory_bytes();
     if memory > gpu_memory {
         return None;
     }
     let duty = node.duty.min(r.duty);
-    let mut members = Vec::with_capacity(node.members.len() + 1);
     let mut exec_total = Micros::ZERO;
     let candidates = node
         .members
@@ -348,33 +368,46 @@ fn try_merge(
         .chain([(r.spec_index, r.rate)]);
     for (idx, rate) in candidates {
         let s = &sessions[idx];
-        // Shrinking the duty cycle shrinks the batch needed to sustain the
-        // member's rate: b' = ceil(d·r) ≤ b (Fig. 7), rounded up to the
-        // rung the dispatcher will actually run.
-        let needed = ((duty.as_secs_f64() * rate).ceil() as u32).max(1);
-        if needed > s.profile.max_batch() {
-            return None;
-        }
-        let (batch, exec) = ladders[idx].smallest_rung_geq(needed);
+        let (_, exec) = member_rung(s, &ladders[idx], duty, rate)?;
         if duty + exec > s.slo {
             return None;
         }
         exec_total += exec;
-        members.push(Member {
-            spec_index: idx,
-            batch,
-            rate,
-        });
     }
     if exec_total > duty {
         return None;
     }
-    Some(Node {
+    Some(Merge {
         duty,
-        members,
         occ: exec_total.as_micros() as f64 / duty.as_micros() as f64,
         memory,
     })
+}
+
+impl Node {
+    /// Carries out a merge [`try_merge`] found legal: members re-batch at
+    /// the new duty cycle and `r` joins them.
+    fn apply(
+        &mut self,
+        merge: Merge,
+        r: &Residual,
+        sessions: &[SessionSpec],
+        ladders: &[BatchLadder],
+    ) {
+        self.members.push(Member {
+            spec_index: r.spec_index,
+            batch: r.batch,
+            rate: r.rate,
+        });
+        for m in &mut self.members {
+            let idx = m.spec_index;
+            (m.batch, _) = member_rung(&sessions[idx], &ladders[idx], merge.duty, m.rate)
+                .expect("try_merge found every member's rung");
+        }
+        self.duty = merge.duty;
+        self.occ = merge.occ;
+        self.memory = merge.memory;
+    }
 }
 
 /// The aggressive theoretical lower bound of §7.4: GPUs needed if every
@@ -390,7 +423,8 @@ pub fn lower_bound_gpus(sessions: &[SessionSpec]) -> f64 {
 
 /// The pre-ladder linear scans, kept verbatim as oracles: the differential
 /// tests assert the `partition_point` binary searches find exactly the
-/// boundary the old `for b in 1..=max_batch` loops found.
+/// boundary the old `for b in 1..=max_batch` loops found. Likewise the
+/// packer as it was when every merge probe allocated the merged node.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -425,6 +459,181 @@ pub(crate) mod reference {
             }
         }
         best
+    }
+
+    /// The original `squishy_bin_packing_with`: every probe builds the merged
+    /// node, member list included.
+    pub fn squishy_bin_packing_with(
+        sessions: &[SessionSpec],
+        gpu_memory: u64,
+        order: MergeOrder,
+    ) -> Allocation {
+        let mut alloc = Allocation::default();
+        let mut residuals: Vec<Residual> = Vec::new();
+
+        // Precomputed rung tables: every batch the packer hands out is a ladder
+        // rung, so a plan entry is always a shape the dispatcher can execute
+        // and duty-cycle accounting matches ladder execution exactly.
+        let ladders: Vec<BatchLadder> = sessions.iter().map(|s| s.profile.ladder()).collect();
+
+        // Phase 1: ScheduleSaturate.
+        for (idx, s) in sessions.iter().enumerate() {
+            if s.rate <= 0.0 {
+                continue;
+            }
+            if s.profile.memory_bytes() > gpu_memory {
+                alloc.infeasible.push(s.id);
+                continue;
+            }
+            let Some((big_b, exec)) = saturated_rung(&ladders[idx], s.slo) else {
+                alloc.infeasible.push(s.id);
+                continue;
+            };
+            let peak = f64::from(big_b) / exec.as_secs_f64();
+            let full_nodes = (s.rate / peak).floor() as u32;
+            for _ in 0..full_nodes {
+                alloc.plans.push(GpuPlan {
+                    duty_cycle: exec,
+                    entries: vec![PlanEntry {
+                        session: s.id,
+                        batch: big_b,
+                        exec_latency: exec,
+                    }],
+                    saturated: true,
+                    occupancy: 1.0,
+                    memory_bytes: s.profile.memory_bytes(),
+                });
+            }
+            let residual_rate = s.rate - f64::from(full_nodes) * peak;
+            if residual_rate > 1e-9 {
+                if let Some((batch, duty)) = residual_params(s, &ladders[idx], residual_rate) {
+                    let occ = s.profile.latency(batch).as_micros() as f64 / duty.as_micros() as f64;
+                    residuals.push(Residual {
+                        session: s.id,
+                        spec_index: idx,
+                        rate: residual_rate,
+                        batch,
+                        duty,
+                        occ,
+                    });
+                } else {
+                    // 2·ℓ(1) ≤ L held (big_b ≥ 1) so a duty cycle always
+                    // exists; this branch is unreachable but kept defensive.
+                    alloc.infeasible.push(s.id);
+                }
+            }
+        }
+
+        // Phase 2: ScheduleResidue — best-fit decreasing by occupancy.
+        residuals.sort_by(|a, b| {
+            b.occ
+                .partial_cmp(&a.occ)
+                .expect("occupancies are finite")
+                .then(a.session.cmp(&b.session))
+        });
+
+        let mut nodes: Vec<Node> = Vec::new();
+        for r in &residuals {
+            let mut best: Option<(usize, Node)> = None;
+            for (ni, node) in nodes.iter().enumerate() {
+                if let Some(merged) = try_merge(node, r, sessions, &ladders, gpu_memory) {
+                    let better = match &best {
+                        Some((_, b)) => merged.occ > b.occ,
+                        None => true,
+                    };
+                    if better {
+                        best = Some((ni, merged));
+                    }
+                    if order == MergeOrder::FirstFit {
+                        break;
+                    }
+                }
+            }
+            match best {
+                Some((ni, merged)) => nodes[ni] = merged,
+                None => nodes.push(Node {
+                    duty: r.duty,
+                    members: vec![Member {
+                        spec_index: r.spec_index,
+                        batch: r.batch,
+                        rate: r.rate,
+                    }],
+                    occ: r.occ,
+                    memory: sessions[r.spec_index].profile.memory_bytes(),
+                }),
+            }
+        }
+
+        for node in nodes {
+            let entries = node
+                .members
+                .iter()
+                .map(|m| PlanEntry {
+                    session: sessions[m.spec_index].id,
+                    batch: m.batch,
+                    exec_latency: sessions[m.spec_index].profile.latency(m.batch),
+                })
+                .collect();
+            alloc.plans.push(GpuPlan {
+                duty_cycle: node.duty,
+                entries,
+                saturated: false,
+                occupancy: node.occ,
+                memory_bytes: node.memory,
+            });
+        }
+        alloc
+    }
+
+    /// The original `try_merge`: returns the merged node whole.
+    fn try_merge(
+        node: &Node,
+        r: &Residual,
+        sessions: &[SessionSpec],
+        ladders: &[BatchLadder],
+        gpu_memory: u64,
+    ) -> Option<Node> {
+        let memory = node.memory + sessions[r.spec_index].profile.memory_bytes();
+        if memory > gpu_memory {
+            return None;
+        }
+        let duty = node.duty.min(r.duty);
+        let mut members = Vec::with_capacity(node.members.len() + 1);
+        let mut exec_total = Micros::ZERO;
+        let candidates = node
+            .members
+            .iter()
+            .map(|m| (m.spec_index, m.rate))
+            .chain([(r.spec_index, r.rate)]);
+        for (idx, rate) in candidates {
+            let s = &sessions[idx];
+            // Shrinking the duty cycle shrinks the batch needed to sustain the
+            // member's rate: b' = ceil(d·r) ≤ b (Fig. 7), rounded up to the
+            // rung the dispatcher will actually run.
+            let needed = ((duty.as_secs_f64() * rate).ceil() as u32).max(1);
+            if needed > s.profile.max_batch() {
+                return None;
+            }
+            let (batch, exec) = ladders[idx].smallest_rung_geq(needed);
+            if duty + exec > s.slo {
+                return None;
+            }
+            exec_total += exec;
+            members.push(Member {
+                spec_index: idx,
+                batch,
+                rate,
+            });
+        }
+        if exec_total > duty {
+            return None;
+        }
+        Some(Node {
+            duty,
+            members,
+            occ: exec_total.as_micros() as f64 / duty.as_micros() as f64,
+            memory,
+        })
     }
 }
 
@@ -675,6 +884,45 @@ mod tests {
                 if rungs.contains(&b) {
                     prop_assert_eq!(reference::residual_rung_scan(&s, &ladder, rate), Some((b, duty)));
                 }
+            }
+        }
+
+        /// Probing merges without building them changes no plan: the
+        /// packer returns the `Allocation` it returned when every probe
+        /// allocated the merged node, under both merge orders. Sessions
+        /// draw from a few shapes so equal-occupancy ties are common, and
+        /// the memory cap sometimes binds.
+        #[test]
+        fn allocation_free_probes_match_allocating_ones(
+            picks in prop::collection::vec((0usize..4, 0usize..8), 1..40),
+            tight_memory in 0u32..3,
+        ) {
+            let shapes = [
+                (BatchingProfile::from_linear_ms(1.0, 8.0, 32), 150),
+                (BatchingProfile::from_linear_ms(2.5, 20.0, 64), 400),
+                (BatchingProfile::from_linear_ms(0.2, 1.0, 16), 60),
+                (BatchingProfile::from_linear_ms(1.0, 30.0, 8), 40), // infeasible
+            ];
+            let rates = [0.0, 0.7, 3.0, 3.0, 11.0, 40.0, 90.0, 700.0];
+            let sessions: Vec<SessionSpec> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &(shape, rate))| {
+                    let (profile, slo_ms) = &shapes[shape];
+                    SessionSpec::new(
+                        SessionId(i as u32),
+                        profile.clone().with_memory_bytes(1 << 30),
+                        Micros::from_millis(*slo_ms),
+                        rates[rate],
+                    )
+                })
+                .collect();
+            let memory = if tight_memory == 0 { 3 << 30 } else { GPU_MEM };
+            for order in [MergeOrder::BestFit, MergeOrder::FirstFit] {
+                prop_assert_eq!(
+                    squishy_bin_packing_with(&sessions, memory, order),
+                    reference::squishy_bin_packing_with(&sessions, memory, order)
+                );
             }
         }
 

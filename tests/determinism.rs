@@ -15,10 +15,18 @@
 //! calendar queue (DESIGN.md §14), and witness that the replacement moved
 //! no output byte; like the golden trace, they change only with a
 //! deliberate behaviour change.
+//!
+//! A fourth fingerprint covers the planner alone — allocations, budgets,
+//! routes and backend assignments at the benchmark's 280-class shape. Its
+//! constant was computed at commit `a625466`, before the epoch path's
+//! quadratic loops were rewritten (DESIGN.md §18), and is the byte-identity
+//! gate for planner changes that `perf`'s GPU counts cannot give.
 
 use nexus::prelude::*;
-use nexus_runtime::{FaultKind, FaultSpec, SimConfig};
-use nexus_workload::apps;
+use nexus_profile::GPU_V100;
+use nexus_runtime::{plan_pooled, FaultKind, FaultSpec, SimConfig};
+use nexus_scheduler::{assign_plans, GpuPlan};
+use nexus_workload::{all_apps, apps};
 
 /// FNV-1a-64: a stable hash safe to pin (unlike `DefaultHasher`, whose
 /// algorithm is not guaranteed across releases).
@@ -169,5 +177,83 @@ fn mixed_pool_run_replays_to_the_pinned_fingerprint() {
     assert!(
         run.contains("PoolStats { pool: 1"),
         "second pool missing from pool_stats"
+    );
+}
+
+/// The planner alone, at the benchmark's `replan_tenants` shape: 40 tenants
+/// × the 7 Table 4 apps (SLO × 2.0–4.0 evenly spaced over tenants,
+/// Zipf(0.9) rates summing to 20 000 dealt by a fixed stride), planned on a
+/// mixed V100 / 1080Ti / K80 fleet and on one K80 pool from the spec rates
+/// and then for three epochs of a fixed ±10 % rate wobble, each epoch's
+/// plans matched onto the previous epoch's by `assign_plans`. The
+/// rendering covers every pool's allocation, the budgets, the routes and
+/// the assignments, so a planner change that moves any batch, duty cycle,
+/// replica, route weight bit or backend match shows here — the
+/// byte-identity gate `perf` (which reads GPU counts and timings) cannot
+/// give.
+fn planner_fingerprint() -> String {
+    const TENANTS: usize = 40;
+    let apps = all_apps();
+    let n = TENANTS * apps.len();
+    let raw: Vec<f64> = (1..=n).map(|i| (i as f64).powf(-0.9)).collect();
+    let total: f64 = raw.iter().sum();
+    let mut classes = Vec::with_capacity(n);
+    for tenant in 0..TENANTS {
+        let slo_mult = 2.0 + 2.0 * tenant as f64 / (TENANTS - 1) as f64;
+        for (ai, app) in apps.iter().enumerate() {
+            // 37 is coprime to 280: a fixed permutation of the ranks.
+            let rank = (tenant * apps.len() + ai) * 37 % n;
+            let mut app = app.clone();
+            app.slo = app.slo.scale(slo_mult);
+            let rate = raw[rank] / total * 20_000.0;
+            classes.push(TrafficClass::new(app, ArrivalKind::Poisson, rate));
+        }
+    }
+    // Epoch `e` is told class `c` ran at its rate × a factor in
+    // [0.9, 1.1]: 41 evenly spaced factors dealt by a stride coprime to 41.
+    let observed = |e: usize| -> Vec<f64> {
+        classes
+            .iter()
+            .enumerate()
+            .map(|(c, class)| class.rate * (0.9 + 0.005 * ((c * 17 + e * 29 + 5) % 41) as f64))
+            .collect()
+    };
+    let pool = |device, gpus| DevicePool { device, gpus };
+    let fleets = [
+        vec![
+            pool(GPU_V100, 200),
+            pool(GPU_GTX1080TI, 600),
+            pool(GPU_K80, 200),
+        ],
+        vec![pool(GPU_K80, 1_000)],
+    ];
+    let cfg = SystemConfig::nexus();
+    let mut out = String::new();
+    for pools in &fleets {
+        let avail: Vec<u32> = pools.iter().map(|p| p.gpus).collect();
+        let mut prev: Option<Vec<GpuPlan>> = None;
+        for epoch in 0..4 {
+            let rates = (epoch > 0).then(|| observed(epoch));
+            let plan = plan_pooled(&classes, &cfg, pools, &avail, rates.as_deref())
+                .expect("Table 4 apps name catalog models");
+            let next: Vec<GpuPlan> = plan.iter_plans().cloned().collect();
+            let assignment = prev.as_ref().map(|prev| assign_plans(prev, &next));
+            let allocations: Vec<_> = plan.pools.iter().map(|p| &p.allocation).collect();
+            out.push_str(&format!(
+                "{allocations:?}\n{:?}\n{:?}\n{assignment:?}\n",
+                plan.budgets, plan.routes
+            ));
+            prev = Some(next);
+        }
+    }
+    out
+}
+
+#[test]
+fn planner_fingerprint_is_pinned() {
+    let run = assert_replays_to(planner_fingerprint, 0xc7d7_0dbd_fcff_7b46);
+    assert!(
+        run.contains("saturated: false") && run.contains("model_loads"),
+        "no residual node packed or no epoch assigned"
     );
 }
