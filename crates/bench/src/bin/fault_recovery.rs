@@ -15,8 +15,8 @@
 //!         [--seed N] [--secs N] [--out FILE]`
 //!
 //! Writes a recovery timeline to `bench_results/fault_recovery.json`
-//! (override with `--out`) and the flap comparison to
-//! `bench_results/fault_flap.json`.
+//! (override with `--out`) and the flap comparison to `fault_flap.json`
+//! beside it.
 
 use std::fmt::Write as _;
 
@@ -190,7 +190,7 @@ fn main() {
     std::fs::write(&path, json).expect("writable output path");
     println!("(wrote {})", path.display());
 
-    run_flap(args.seed);
+    run_flap(args.seed, &path.with_file_name("fault_flap.json"));
 }
 
 /// Flap timing (seconds): two crash/rejoin cycles after warm-up.
@@ -249,7 +249,7 @@ fn run_flap_once(seed: u64, cooldown: Micros) -> (SimResult, u64) {
 /// immediate emergency re-pack — paying model loads and queue
 /// migrations for capacity that vanishes two seconds later. The rejoin
 /// cooldown defers those re-packs; deaths still re-plan immediately.
-fn run_flap(seed: u64) {
+fn run_flap(seed: u64, out: &std::path::Path) {
     println!();
     println!("flapping-backend scenario: crash/rejoin x2 on gpu 0, 300 q/s");
 
@@ -299,9 +299,8 @@ fn run_flap(seed: u64) {
     let _ = writeln!(json, "  \"pass_thrash\": {thrash_ok},");
     let _ = writeln!(json, "  \"pass_goodput\": {goodput_ok}");
     json.push_str("}\n");
-    std::fs::create_dir_all("bench_results").expect("bench_results dir");
-    std::fs::write("bench_results/fault_flap.json", json).expect("writable output path");
-    println!("(wrote bench_results/fault_flap.json)");
+    std::fs::write(out, json).expect("writable output path");
+    println!("(wrote {})", out.display());
 
     assert!(
         thrash_ok,

@@ -176,13 +176,6 @@ impl NexusClusterBuilder {
         self
     }
 
-    /// Adds an application stream with Poisson arrivals.
-    pub fn app_poisson(mut self, app: AppSpec, rate: f64) -> Self {
-        self.classes
-            .push(TrafficClass::new(app, ArrivalKind::Poisson, rate));
-        self
-    }
-
     /// Adds a fully custom traffic class.
     pub fn traffic_class(mut self, class: TrafficClass) -> Self {
         self.classes.push(class);

@@ -60,8 +60,8 @@ pub mod prelude {
     pub use crate::experiment::{measure_throughput, run_once, ThroughputSearch};
     pub use nexus_profile::{BatchingProfile, DeviceType, Micros, GPU_GTX1080TI, GPU_K80};
     pub use nexus_runtime::{
-        run_heterogeneous, ClusterSim, DevicePool, DropPolicy, FaultKind, FaultSpec, HeteroResult,
-        PlanError, SchedulerPolicy, SimConfig, SimResult, SystemConfig, TrafficClass,
+        ClusterSim, DevicePool, DropPolicy, FaultKind, FaultSpec, PlanError, SchedulerPolicy,
+        SimConfig, SimResult, SystemConfig, TrafficClass,
     };
     pub use nexus_scheduler::{SessionId, SessionSpec};
     pub use nexus_workload::{AppSpec, ArrivalKind};

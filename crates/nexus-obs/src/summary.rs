@@ -198,30 +198,38 @@ mod tests {
 
     #[test]
     fn summary_rolls_up_pools_on_mixed_fleets() {
-        use nexus_runtime::{run_heterogeneous, DevicePool};
-        let hetero = run_heterogeneous(
-            &SystemConfig::nexus().with_static_allocation(),
-            &[
-                DevicePool {
-                    device: GPU_GTX1080TI,
-                    gpus: 4,
-                },
-                DevicePool {
-                    device: nexus_profile::GPU_K80,
-                    gpus: 4,
-                },
-            ],
+        use nexus_runtime::{ClusterSim, DevicePool, SimConfig};
+        let pools = vec![
+            DevicePool {
+                device: GPU_GTX1080TI,
+                gpus: 4,
+            },
+            DevicePool {
+                device: nexus_profile::GPU_K80,
+                gpus: 4,
+            },
+        ];
+        let result = ClusterSim::try_new_pooled(
+            SimConfig {
+                system: SystemConfig::nexus().with_static_allocation(),
+                device: pools[0].device,
+                max_gpus: 0, // derived from the pools
+                seed: 3,
+                horizon: Micros::from_secs(6),
+                warmup: Micros::from_secs(2),
+                trace_capacity: 0,
+                faults: vec![],
+            },
+            pools,
             vec![TrafficClass::new(
                 apps::traffic(),
                 ArrivalKind::Uniform,
                 60.0,
             )],
-            3,
-            Micros::from_secs(2),
-            Micros::from_secs(6),
         )
-        .unwrap();
-        let text = render(&hetero.result);
+        .unwrap()
+        .run();
+        let text = render(&result);
         assert!(text.contains("Device pools:"), "{text}");
         assert!(text.contains("NVIDIA GTX 1080Ti"), "{text}");
         assert!(text.contains("NVIDIA K80"), "{text}");

@@ -467,11 +467,6 @@ impl SharedProfile {
     pub fn new(profile: BatchingProfile) -> Self {
         SharedProfile(std::sync::Arc::new(profile))
     }
-
-    /// The underlying profile.
-    pub fn as_profile(&self) -> &BatchingProfile {
-        &self.0
-    }
 }
 
 impl std::ops::Deref for SharedProfile {

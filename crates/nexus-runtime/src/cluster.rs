@@ -28,9 +28,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::SystemConfig;
-use crate::control::{plan, plan_pooled, ControlPlan, PlanError, TrafficClass};
+use crate::control::{plan, plan_pooled, ControlPlan, DevicePool, PlanError, TrafficClass};
 use crate::dispatch::{classify_drop, BatchPull, DropPolicy, MiniBatch, SessionQueue};
-use crate::hetero::DevicePool;
 use crate::metrics::ClusterMetrics;
 use crate::request::{QueryId, QueryTracker, Request, RequestId, RequestOutcome};
 use crate::trace::{DropCause, Trace, TraceEvent};
@@ -757,31 +756,37 @@ impl ClusterSim {
             // crash is detected by heartbeats and the queue re-dispatched.
             return;
         }
-        let coordinated = self.cfg.system.coordinated;
-        let b = &mut self.backends[backend];
+        let b = &self.backends[backend];
         let t = now.max(b.available_at);
-        let gen = self.generation;
-        if coordinated {
-            if !b.busy && b.armed_wake > t {
-                b.armed_wake = t;
-                self.events.push(
-                    t,
-                    Event::Wake {
-                        backend: backend as u32,
-                        slot: u32::MAX,
-                        gen,
-                    },
-                );
+        if self.cfg.system.coordinated {
+            if !b.busy {
+                self.arm_backend(t, backend);
             }
         } else if slot < b.slots.len() && !b.slots[slot].busy {
-            self.events.push(
-                t,
-                Event::Wake {
-                    backend: backend as u32,
-                    slot: slot as u32,
-                    gen,
-                },
-            );
+            self.push_wake(t, backend, slot as u32);
+        }
+    }
+
+    /// Schedules a wake at `t` for `slot` of `backend` (`u32::MAX`: the
+    /// whole coordinated backend).
+    fn push_wake(&mut self, t: Micros, backend: usize, slot: u32) {
+        self.events.push(
+            t,
+            Event::Wake {
+                backend: backend as u32,
+                slot,
+                gen: self.generation,
+            },
+        );
+    }
+
+    /// Coordinated wakes dedup on `armed_wake`: only a wake earlier than
+    /// the one already armed is scheduled.
+    fn arm_backend(&mut self, t: Micros, backend: usize) {
+        let b = &mut self.backends[backend];
+        if b.armed_wake > t {
+            b.armed_wake = t;
+            self.push_wake(t, backend, u32::MAX);
         }
     }
 
@@ -858,19 +863,7 @@ impl ClusterSim {
             }
             if now < b.available_at {
                 let t = b.available_at;
-                let gen = self.generation;
-                let b = &mut self.backends[backend];
-                if b.armed_wake > t {
-                    b.armed_wake = t;
-                    self.events.push(
-                        t,
-                        Event::Wake {
-                            backend: backend as u32,
-                            slot: u32::MAX,
-                            gen,
-                        },
-                    );
-                }
+                self.arm_backend(t, backend);
                 return;
             }
         }
@@ -942,7 +935,6 @@ impl ClusterSim {
                     b.busy = true;
                     b.cursor = if si + 1 == n { 0 } else { si + 1 };
                 }
-                let gen = self.generation;
                 if ladder_on {
                     // Ladder execution (DESIGN.md §16): the slot's rung
                     // sequence runs back-to-back on the device; each
@@ -983,40 +975,17 @@ impl ClusterSim {
                             p.extend(rest.drain(..mb.len as usize));
                             p
                         };
-                        let seq = match &mut self.trace {
-                            Some(tr) => {
-                                let seq = tr.alloc_batch_seq();
-                                tr.push(TraceEvent::Batch {
-                                    t: start,
-                                    backend,
-                                    session,
-                                    size: mb.len,
-                                    duration,
-                                    rung: mb.rung,
-                                    leftover: j > 0,
-                                    seq,
-                                });
-                                seq
-                            }
-                            None => 0,
-                        };
-                        let (batch_id, pslot) = self.launch_bookkeeping(backend, &part);
-                        let job = self.alloc_job(BatchJob {
-                            requests: part,
-                            slot: si,
-                            gen,
-                            batch: batch_id,
-                            pslot,
-                            started: start,
-                            seq,
-                            last: j + 1 == nmb,
-                        });
-                        self.events.push(
-                            start + duration,
-                            Event::BatchDone {
-                                backend: backend as u32,
-                                job,
-                            },
+                        let last = j + 1 == nmb;
+                        self.launch(
+                            backend,
+                            si,
+                            session,
+                            part,
+                            start,
+                            duration,
+                            mb.rung,
+                            j > 0,
+                            last,
                         );
                         start += duration;
                     }
@@ -1027,43 +996,10 @@ impl ClusterSim {
                 } else {
                     duration
                 };
-                let seq = match &mut self.trace {
-                    Some(tr) => {
-                        let seq = tr.alloc_batch_seq();
-                        tr.push(TraceEvent::Batch {
-                            t: now,
-                            backend,
-                            session,
-                            size: batch.len() as u32,
-                            duration,
-                            rung: batch.len() as u32,
-                            leftover: false,
-                            seq,
-                        });
-                        seq
-                    }
-                    None => 0,
-                };
-                let (batch_id, pslot) = self.launch_bookkeeping(backend, &batch);
-                self.backends[backend]
-                    .gpu
-                    .execute(now, duration, batch.len() as u32);
-                let job = self.alloc_job(BatchJob {
-                    requests: batch,
-                    slot: si,
-                    gen,
-                    batch: batch_id,
-                    pslot,
-                    started: now,
-                    seq,
-                    last: true,
-                });
-                self.events.push(
-                    now + duration,
-                    Event::BatchDone {
-                        backend: backend as u32,
-                        job,
-                    },
+                let size = batch.len() as u32;
+                self.backends[backend].gpu.execute(now, duration, size);
+                self.launch(
+                    backend, si, session, batch, now, duration, size, false, true,
                 );
                 return;
             }
@@ -1075,19 +1011,7 @@ impl ClusterSim {
             }
         }
         if let Some(f) = earliest_wake {
-            let gen = self.generation;
-            let b = &mut self.backends[backend];
-            if b.armed_wake > f {
-                b.armed_wake = f;
-                self.events.push(
-                    f,
-                    Event::Wake {
-                        backend: backend as u32,
-                        slot: u32::MAX,
-                        gen,
-                    },
-                );
-            }
+            self.arm_backend(f, backend);
         }
     }
 
@@ -1098,15 +1022,7 @@ impl ClusterSim {
         }
         if now < self.backends[backend].available_at {
             let t = self.backends[backend].available_at;
-            let gen = self.generation;
-            self.events.push(
-                t,
-                Event::Wake {
-                    backend: backend as u32,
-                    slot: slot as u32,
-                    gen,
-                },
-            );
+            self.push_wake(t, backend, slot as u32);
             return;
         }
         let policy = self.cfg.system.drop_policy;
@@ -1120,17 +1036,7 @@ impl ClusterSim {
             &mut self.batch_pool,
         ) {
             SlotDecision::Skip => {}
-            SlotDecision::NotReady(f) => {
-                let gen = self.generation;
-                self.events.push(
-                    f.max(now),
-                    Event::Wake {
-                        backend: backend as u32,
-                        slot: slot as u32,
-                        gen,
-                    },
-                );
-            }
+            SlotDecision::NotReady(f) => self.push_wake(f.max(now), backend, slot as u32),
             SlotDecision::Pulled {
                 session,
                 batch,
@@ -1139,7 +1045,7 @@ impl ClusterSim {
             } => {
                 self.record_drops(now, session, backend, slot);
                 if !batch.is_empty() {
-                    let trace_size = batch.len() as u32;
+                    let size = batch.len() as u32;
                     let slowdown = if self.fault_mode {
                         self.fleet.slowdown(self.backend_slot[backend])
                     } else {
@@ -1151,66 +1057,21 @@ impl ClusterSim {
                     // container costs nothing.
                     let concurrent = 1 + b.slots.iter().filter(|s| s.busy).count();
                     let factor = self.cfg.system.interference.slowdown(concurrent);
-                    let mut duration = b.slots[slot]
-                        .base
-                        .latency_clamped(batch.len() as u32)
-                        .scale(factor);
+                    let mut duration = b.slots[slot].base.latency_clamped(size).scale(factor);
                     if slowdown != 1.0 {
                         duration = duration.scale(slowdown);
                     }
                     b.slots[slot].busy = true;
                     // Fair-share accounting: concurrent containers
                     // time-share the device.
-                    b.gpu
-                        .accrue_shared(duration / concurrent as u64, batch.len() as u32);
-                    let seq = match &mut self.trace {
-                        Some(tr) => {
-                            let seq = tr.alloc_batch_seq();
-                            tr.push(TraceEvent::Batch {
-                                t: now,
-                                backend,
-                                session,
-                                size: trace_size,
-                                duration,
-                                rung: trace_size,
-                                leftover: false,
-                                seq,
-                            });
-                            seq
-                        }
-                        None => 0,
-                    };
-                    let (batch_id, pslot) = self.launch_bookkeeping(backend, &batch);
-                    let gen = self.generation;
-                    let job = self.alloc_job(BatchJob {
-                        requests: batch,
-                        slot,
-                        gen,
-                        batch: batch_id,
-                        pslot,
-                        started: now,
-                        seq,
-                        last: true,
-                    });
-                    self.events.push(
-                        now + duration,
-                        Event::BatchDone {
-                            backend: backend as u32,
-                            job,
-                        },
+                    b.gpu.accrue_shared(duration / concurrent as u64, size);
+                    self.launch(
+                        backend, slot, session, batch, now, duration, size, false, true,
                     );
                 } else {
                     self.recycle(batch);
                     if let Some(expiry) = pending_expiry {
-                        let gen = self.generation;
-                        self.events.push(
-                            expiry.max(now + Micros(1)),
-                            Event::Wake {
-                                backend: backend as u32,
-                                slot: slot as u32,
-                                gen,
-                            },
-                        );
+                        self.push_wake(expiry.max(now + Micros(1)), backend, slot as u32);
                     }
                 }
             }
@@ -1223,7 +1084,60 @@ impl ClusterSim {
         self.batch_pool.push(batch);
     }
 
+    /// Launches `requests` as one execution of `slot` on `backend` over
+    /// `[start, start + duration)`: traces the batch, records the in-flight
+    /// copy, parks the payload and schedules its completion. `last` marks
+    /// the execution whose completion frees the backend or slot.
     #[allow(clippy::too_many_arguments)]
+    fn launch(
+        &mut self,
+        backend: usize,
+        slot: usize,
+        session: SessionId,
+        requests: Vec<Request>,
+        start: Micros,
+        duration: Micros,
+        rung: u32,
+        leftover: bool,
+        last: bool,
+    ) {
+        let seq = match &mut self.trace {
+            Some(tr) => {
+                let seq = tr.alloc_batch_seq();
+                tr.push(TraceEvent::Batch {
+                    t: start,
+                    backend,
+                    session,
+                    size: requests.len() as u32,
+                    duration,
+                    rung,
+                    leftover,
+                    seq,
+                });
+                seq
+            }
+            None => 0,
+        };
+        let (batch, pslot) = self.launch_bookkeeping(backend, &requests);
+        let job = self.alloc_job(BatchJob {
+            requests,
+            slot,
+            gen: self.generation,
+            batch,
+            pslot,
+            started: start,
+            seq,
+            last,
+        });
+        self.events.push(
+            start + duration,
+            Event::BatchDone {
+                backend: backend as u32,
+                job,
+            },
+        );
+    }
+
     /// Allocates a [`BatchJob`] pool slot (recycling freed ones) for an
     /// in-flight batch; [`Self::on_batch_done`] takes it back out.
     fn alloc_job(&mut self, job: BatchJob) -> u32 {
@@ -2784,5 +2698,42 @@ mod tests {
         .run();
         assert!(r.queries_finished > 3_000);
         assert!(r.query_bad_rate < 0.02, "bad={}", r.query_bad_rate);
+    }
+
+    #[test]
+    fn heterogeneous_fleet_serves_within_slo() {
+        let pools = [GPU_GTX1080TI, nexus_profile::GPU_K80]
+            .map(|device| DevicePool { device, gpus: 8 })
+            .to_vec();
+        let classes = vec![
+            TrafficClass::new(apps::game(), ArrivalKind::Uniform, 600.0),
+            TrafficClass::new(apps::traffic(), ArrivalKind::Uniform, 60.0),
+            TrafficClass::new(apps::dance(), ArrivalKind::Uniform, 20.0),
+        ];
+        let r = ClusterSim::try_new_pooled(
+            SimConfig {
+                system: SystemConfig::nexus().with_static_allocation(),
+                device: pools[0].device,
+                max_gpus: 0, // derived from the pools
+                seed: 3,
+                horizon: Micros::from_secs(12),
+                warmup: Micros::from_secs(3),
+                trace_capacity: 0,
+                faults: vec![],
+            },
+            pools,
+            classes,
+        )
+        .unwrap()
+        .run();
+        assert!(r.query_goodput > 500.0);
+        assert!(
+            r.query_bad_rate < 0.03,
+            "fleet bad rate {}",
+            r.query_bad_rate
+        );
+        // One rollup per pool, and at least one pool actually deployed.
+        assert_eq!(r.pool_stats.len(), 2);
+        assert!(r.pool_stats.iter().any(|p| p.backends > 0));
     }
 }

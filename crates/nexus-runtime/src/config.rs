@@ -211,13 +211,6 @@ impl SystemConfig {
         }
     }
 
-    /// Enables or disables batch-plan ladder execution (the `ladder`
-    /// ablation toggles this off to isolate the minibatch-recursion win).
-    pub fn with_ladder(mut self, ladder: bool) -> Self {
-        self.ladder = ladder;
-        self
-    }
-
     /// Sets the number of frontend replicas.
     pub fn with_frontends(mut self, frontends: u32) -> Self {
         assert!(frontends >= 1, "need at least one frontend");

@@ -22,7 +22,6 @@ use nexus_scheduler::{
 use nexus_workload::{AppSpec, ArrivalKind};
 
 use crate::config::{SchedulerPolicy, SystemConfig};
-use crate::hetero::DevicePool;
 
 /// Segments used to discretize latency-split DPs.
 const SPLIT_SEGMENTS: u32 = 50;
@@ -688,6 +687,16 @@ pub fn plan(
     })
 }
 
+/// One homogeneous slice of a mixed fleet (DESIGN.md §17): a first-class
+/// planner input, packed on its own device profiles.
+#[derive(Debug, Clone, Copy)]
+pub struct DevicePool {
+    /// Device type of every GPU in the pool.
+    pub device: DeviceType,
+    /// Pool size.
+    pub gpus: u32,
+}
+
 /// Plans a heterogeneous deployment: one squishy packing per device pool,
 /// with every class's stages placed on pools by the joint class/split DP
 /// ([`optimize_hetero_split`]). `avail` caps each pool's usable slots (the
@@ -990,6 +999,62 @@ mod tests {
                 s.id,
                 s.est_rate
             );
+        }
+    }
+
+    /// The Fig. 13 deployment's classes as the planner sees them
+    /// (`nexus::workloads::fig13_classes` sits above this crate): the seven
+    /// apps in `all_apps` order at their base rates, SLOs doubled for the
+    /// K80 class. The diurnal ramp is left out — planning reads `rate` only.
+    fn fig13_classes(scale: f64) -> Vec<TrafficClass> {
+        let base_rates = [1_600.0, 150.0, 100.0, 90.0, 80.0, 70.0, 55.0];
+        nexus_workload::all_apps()
+            .into_iter()
+            .zip(base_rates)
+            .map(|(mut app, rate)| {
+                app.slo = app.slo * 2;
+                TrafficClass::new(app, ArrivalKind::Poisson, rate * scale)
+            })
+            .collect()
+    }
+
+    /// With query analysis off both planners take the even split, and the
+    /// one-pool `plan_pooled` reproduces `plan` exactly. So the split DP —
+    /// `optimize_latency_split` costs a stage at any batch,
+    /// `optimize_hetero_split` at ladder rungs only — is the planners' only
+    /// divergence: the precondition for folding `plan` into `plan_pooled`
+    /// (DESIGN.md §17).
+    #[test]
+    fn plan_matches_one_pool_plan_pooled_when_query_analysis_is_off() {
+        let cfg = SystemConfig::nexus_no_qa();
+        for (device, gpus, scale) in [
+            (nexus_profile::GPU_K80, 100, 1.0),
+            (GPU_GTX1080TI, 16, 1.0),
+            (nexus_profile::GPU_K80, 1_000, 10.0),
+        ] {
+            let classes = fig13_classes(scale);
+            let one = plan(&classes, &cfg, &device, gpus, None).expect("known models");
+            let pooled = plan_pooled(
+                &classes,
+                &cfg,
+                &[DevicePool { device, gpus }],
+                &[gpus],
+                None,
+            )
+            .expect("known models");
+            let at = format!("{} x{gpus}", device.name);
+            assert_eq!(
+                format!("{:?}", one.sessions),
+                format!("{:?}", pooled.sessions),
+                "sessions, {at}"
+            );
+            assert_eq!(one.budgets, pooled.budgets, "budgets, {at}");
+            assert_eq!(
+                format!("{:?}", one.pools),
+                format!("{:?}", pooled.pools),
+                "per-pool allocations, {at}"
+            );
+            assert_eq!(one.routes, pooled.routes, "routes, {at}");
         }
     }
 

@@ -72,23 +72,6 @@ pub fn classify_drop(deadline: Micros, min_start: Micros) -> DropCause {
     }
 }
 
-/// Classifies a request the *edge* rejected before it was enqueued.
-///
-/// Same doomed-vs-feasible split as [`classify_drop`], but at the
-/// frontend: a request whose deadline lies before `min_start` (`now +
-/// ℓ(1)`) was [`DropCause::Expired`] under every policy — §5.2's
-/// early-drop check fired before any work crossed the wire. A request
-/// that still had budget was turned away by the analytic overload gate
-/// ([`DropCause::AdmissionRejected`]): admitting it would have pushed the
-/// session's predicted p99 past its SLO.
-pub fn classify_edge_drop(deadline: Micros, min_start: Micros) -> DropCause {
-    if deadline < min_start {
-        DropCause::Expired
-    } else {
-        DropCause::AdmissionRejected
-    }
-}
-
 /// A per-session FIFO with batch-aware admission control.
 #[derive(Debug, Default)]
 pub struct SessionQueue {

@@ -7,9 +7,7 @@ pub mod cluster;
 pub mod config;
 pub mod control;
 pub mod dispatch;
-pub mod hetero;
 pub mod histogram;
-pub mod live;
 pub mod metrics;
 pub mod request;
 pub mod singlenode;
@@ -21,15 +19,11 @@ mod proptests;
 pub use cluster::{ClusterSim, GpuOccupancy, PoolStats, SimConfig, SimResult};
 pub use config::{SchedulerPolicy, SystemConfig};
 pub use control::{
-    build_sessions, plan, plan_pooled, ControlPlan, PlanError, PoolPlan, RouteTarget,
+    build_sessions, plan, plan_pooled, ControlPlan, DevicePool, PlanError, PoolPlan, RouteTarget,
     RuntimeSession, TrafficClass,
 };
-pub use dispatch::{classify_drop, classify_edge_drop, BatchPull, DropPolicy, SessionQueue};
-pub use hetero::{
-    class_demand, place_classes, run_heterogeneous, DevicePool, HeteroResult, Placement,
-};
+pub use dispatch::{classify_drop, BatchPull, DropPolicy, SessionQueue};
 pub use histogram::LatencyHistogram;
-pub use live::{run_live, LiveConfig, LiveOutcome, LiveSession, LiveSessionOutcome};
 pub use metrics::{ClusterMetrics, FailureRecord, SessionMetrics, TimelineBucket};
 pub use nexus_simgpu::{FaultKind, FaultSchedule, FaultSpec};
 pub use request::{FinishedQuery, QueryId, QueryTracker, Request, RequestId, RequestOutcome};

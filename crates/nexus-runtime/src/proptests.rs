@@ -6,7 +6,6 @@
 #![cfg(test)]
 
 use proptest::prelude::*;
-use rand::Rng;
 
 use nexus_profile::{BatchingProfile, Micros, GPU_GTX1080TI};
 use nexus_scheduler::SessionId;
@@ -420,76 +419,18 @@ fn arb_classes() -> impl Strategy<Value = Vec<TrafficClass>> {
 }
 
 /// Strategy: 1–3 pools over distinct device classes with small sizes.
-fn arb_pools() -> impl Strategy<Value = Vec<crate::hetero::DevicePool>> {
+fn arb_pools() -> impl Strategy<Value = Vec<crate::control::DevicePool>> {
     use nexus_profile::{GPU_K80, GPU_V100};
     (1usize..4, 2u32..10, 2u32..10, 2u32..10).prop_map(|(n, a, b, c)| {
         [(GPU_GTX1080TI, a), (GPU_K80, b), (GPU_V100, c)][..n]
             .iter()
-            .map(|&(device, gpus)| crate::hetero::DevicePool { device, gpus })
+            .map(|&(device, gpus)| crate::control::DevicePool { device, gpus })
             .collect()
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every class is placed exactly once, on a real pool, and the
-    /// per-pool demand tallies are conserved: each pool's recorded demand
-    /// is exactly the sum of its residents' demands on that pool's device.
-    #[test]
-    fn placement_places_every_class_once_and_conserves_demand(
-        classes in arb_classes(),
-        pools in arb_pools(),
-    ) {
-        let cfg = SystemConfig::nexus();
-        let placement = crate::hetero::place_classes(&classes, &cfg, &pools).unwrap();
-        prop_assert_eq!(placement.pool_of.len(), classes.len());
-        prop_assert_eq!(placement.pool_demand.len(), pools.len());
-        let mut expect = vec![0.0f64; pools.len()];
-        for (ci, class) in classes.iter().enumerate() {
-            let pi = placement.pool_of[ci];
-            prop_assert!(pi < pools.len(), "class {ci} placed on phantom pool {pi}");
-            expect[pi] +=
-                crate::hetero::class_demand(class, &cfg, &pools[pi].device).unwrap();
-        }
-        for (pi, (&got, &want)) in placement.pool_demand.iter().zip(&expect).enumerate() {
-            prop_assert!(
-                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                "pool {pi} demand {got} != resident sum {want}"
-            );
-        }
-    }
-
-    /// Permuting the input classes permutes the placement identically:
-    /// the greedy order ties break on intrinsic class keys, never on
-    /// input position.
-    #[test]
-    fn placement_is_deterministic_under_permutation(
-        classes in arb_classes(),
-        pools in arb_pools(),
-        shuffle_seed in 0u64..1_000,
-    ) {
-        let cfg = SystemConfig::nexus();
-        let base = crate::hetero::place_classes(&classes, &cfg, &pools).unwrap();
-        // Deterministic Fisher–Yates driven by the workload RNG.
-        let mut perm: Vec<usize> = (0..classes.len()).collect();
-        let mut rng = nexus_workload::rng_for(shuffle_seed, 0);
-        for i in (1..perm.len()).rev() {
-            let j = (rng.gen::<u64>() % (i as u64 + 1)) as usize;
-            perm.swap(i, j);
-        }
-        let shuffled: Vec<TrafficClass> =
-            perm.iter().map(|&i| classes[i].clone()).collect();
-        let moved = crate::hetero::place_classes(&shuffled, &cfg, &pools).unwrap();
-        for (new_pos, &old_pos) in perm.iter().enumerate() {
-            prop_assert_eq!(
-                moved.pool_of[new_pos],
-                base.pool_of[old_pos],
-                "class {} changed pool under permutation",
-                classes[old_pos].name
-            );
-        }
-    }
 
     /// Pool-aware planning respects capacity: no pool's plan ever uses
     /// more GPUs than the pool has, every session lands on a real pool,

@@ -123,6 +123,231 @@ struct NodeSlot {
     loaded: bool,
 }
 
+/// Whether `t` falls in the measurement window.
+fn in_window(cfg: &NodeConfig, t: Micros) -> bool {
+    t >= cfg.warmup && t < cfg.horizon
+}
+
+/// The event loop's working state.
+struct Node<'a> {
+    cfg: &'a NodeConfig,
+    sessions: &'a [NodeSession],
+    ladders: Vec<BatchLadder>,
+    slots: Vec<NodeSlot>,
+    events: EventQueue<Ev>,
+    stats: Vec<NodeSessionStats>,
+    trace: Option<Trace>,
+    scratch: BatchPull,
+    mb_scratch: Vec<MiniBatch>,
+    pool: Vec<Vec<Request>>,
+    /// Coordinated: whole-GPU mutex.
+    node_busy: bool,
+    cursor: usize,
+    busy_us: u64,
+}
+
+impl Node<'_> {
+    /// The service scan: a free coordinated node serves the first ready
+    /// slot round-robin from the cursor; a container serves slot `i` alone.
+    fn serve(&mut self, now: Micros, i: usize) {
+        let cfg = self.cfg;
+        let n_slots = self.slots.len();
+        let (base, count) = if !cfg.coordinated {
+            (i, 1)
+        } else if self.node_busy {
+            return;
+        } else {
+            (self.cursor, n_slots)
+        };
+        for k in 0..count {
+            let si = if count == 1 {
+                base
+            } else {
+                (base + k) % n_slots
+            };
+            let slot = &mut self.slots[si];
+            if slot.busy || slot.queue.is_empty() || !slot.loaded {
+                continue;
+            }
+            // This pull's batch assignment: the next step of the slot's
+            // cyclic assignment ladder (static plans have one step).
+            let assigned = if cfg.ladder {
+                slot.plan[(slot.serves as usize) % slot.plan.len()]
+            } else {
+                slot.target
+            };
+            let queued = slot.queue.len() as u32;
+            if queued < assigned {
+                let oldest_arr = slot.queue.oldest_arrival().expect("non-empty");
+                let oldest_dl = slot.queue.oldest_deadline().expect("non-empty");
+                let n = queued.max(1);
+                // The latest safe start tracks the shape execution will
+                // pay: the covering rung in ladder mode, ℓ(n) otherwise.
+                let exec_est = if cfg.ladder {
+                    self.ladders[si].smallest_rung_geq(n).1
+                } else {
+                    slot.timing.latency_clamped(n)
+                };
+                let forced = oldest_dl
+                    .saturating_sub(exec_est)
+                    .saturating_sub(slot.reserve)
+                    .min(oldest_arr + slot.gather);
+                if now < forced {
+                    self.events.push(forced.max(now), Ev::Wake(si));
+                    continue;
+                }
+            }
+            // Under strict batching an infinite reserve pins the early-drop
+            // window to the planned batch size. Rotating plans re-split the
+            // worst case per pull: the reserve is the duty minus this
+            // pull's own execution share.
+            let reserve = if cfg.strict_batches {
+                Micros::MAX
+            } else if cfg.ladder && cfg.coordinated {
+                slot.gather
+                    .saturating_sub(self.ladders[si].rung_latency(assigned))
+            } else {
+                slot.reserve
+            };
+            if cfg.ladder {
+                // Coordinated slots are capped at the assigned slot length
+                // so the rung sequence never runs past what the shared plan
+                // promised co-located sessions; uncoordinated dispatch owns
+                // its container and recurses to the request budgets.
+                let allowance = if cfg.coordinated {
+                    self.ladders[si].rung_latency(assigned)
+                } else {
+                    Micros::MAX
+                };
+                slot.queue.pull_ladder_into(
+                    now,
+                    assigned,
+                    allowance,
+                    &self.sessions[si].profile,
+                    &self.ladders[si],
+                    cfg.drop_policy,
+                    reserve,
+                    &mut self.scratch,
+                    &mut self.mb_scratch,
+                );
+            } else {
+                slot.queue.pull_into(
+                    now,
+                    slot.target,
+                    &self.sessions[si].profile,
+                    cfg.drop_policy,
+                    reserve,
+                    &mut self.scratch,
+                );
+            }
+            let min_start = self
+                .trace
+                .is_some()
+                .then(|| now + slot.timing.latency_clamped(1));
+            for r in self.scratch.dropped.drain(..) {
+                if in_window(cfg, r.arrival) {
+                    self.stats[si].dropped += 1;
+                }
+                if let Some(tr) = &mut self.trace {
+                    tr.push(TraceEvent::Drop {
+                        t: now,
+                        request: r.id.0,
+                        session: r.session,
+                        cause: classify_drop(r.deadline, min_start.expect("set when tracing")),
+                    });
+                }
+            }
+            if self.scratch.batch.is_empty() {
+                if let Some(expiry) = slot.queue.oldest_deadline() {
+                    self.events.push(expiry.max(now + Micros(1)), Ev::Wake(si));
+                }
+                continue;
+            }
+            let concurrent = if cfg.coordinated {
+                self.node_busy = true;
+                self.cursor = (si + 1) % n_slots;
+                1
+            } else {
+                1 + self.slots.iter().filter(|s| s.busy).count()
+            };
+            let factor = cfg.interference.slowdown(concurrent);
+            self.slots[si].busy = true;
+            self.slots[si].serves = self.slots[si].serves.wrapping_add(1);
+            if cfg.ladder {
+                // Execute the rung sequence back-to-back in this slot: one
+                // `Done` per minibatch at its cumulative finish; only the
+                // last releases the GPU. A padded tail (len < rung) still
+                // pays — and is billed — the full rung latency.
+                let mb_count = self.mb_scratch.len();
+                let mut start = now;
+                for j in 0..mb_count {
+                    let mb = self.mb_scratch[j];
+                    let duration = self.ladders[si].rung_latency(mb.rung).scale(factor);
+                    let mut part = self.pool.pop().unwrap_or_default();
+                    part.extend(self.scratch.batch.drain(..mb.len as usize));
+                    let last = j + 1 == mb_count;
+                    self.launch(si, part, start, duration, concurrent, mb.rung, j > 0, last);
+                    start += duration;
+                }
+                debug_assert!(self.scratch.batch.is_empty());
+                return;
+            }
+            // Hand the batch out and leave a recycled buffer in the scratch.
+            let batch =
+                std::mem::replace(&mut self.scratch.batch, self.pool.pop().unwrap_or_default());
+            let b = batch.len() as u32;
+            let duration = self.sessions[si].profile.latency_clamped(b).scale(factor);
+            self.launch(si, batch, now, duration, concurrent, b, false, true);
+            return;
+        }
+    }
+
+    /// Launches `batch` on slot `si` over `[start, start + duration)`:
+    /// bills the fair-share device time, traces the batch and schedules its
+    /// completion. `last` marks the execution that releases the slot.
+    #[allow(clippy::too_many_arguments)]
+    fn launch(
+        &mut self,
+        si: usize,
+        batch: Vec<Request>,
+        start: Micros,
+        duration: Micros,
+        concurrent: usize,
+        rung: u32,
+        leftover: bool,
+        last: bool,
+    ) {
+        self.busy_us += duration.as_micros() / concurrent as u64;
+        let seq = match &mut self.trace {
+            Some(tr) => {
+                let seq = tr.alloc_batch_seq();
+                tr.push(TraceEvent::Batch {
+                    t: start,
+                    backend: 0,
+                    session: SessionId(si as u32),
+                    size: batch.len() as u32,
+                    duration,
+                    rung,
+                    leftover,
+                    seq,
+                });
+                seq
+            }
+            None => 0,
+        };
+        self.events.push(
+            start + duration,
+            Ev::Done {
+                slot: si,
+                batch,
+                started: start,
+                seq,
+                last,
+            },
+        );
+    }
+}
+
 /// Fits shared round-robin batch sizes: start each session at its
 /// standalone SLO-max batch, then shrink the largest contributor until
 /// every session's worst-case latency `Σℓ(b_j) + ℓ(b_i) ≤ L_i` (or all
@@ -364,7 +589,7 @@ pub fn simulate_node(cfg: &NodeConfig, sessions: &[NodeSession]) -> NodeOutcome 
     // Memory admission: load in order until full.
     let mut mem = 0u64;
     let k = sessions.len().max(1);
-    let mut slots: Vec<NodeSlot> = sessions
+    let slots: Vec<NodeSlot> = sessions
         .iter()
         .zip(batches.iter().zip(&plans))
         .map(|(s, (&target, plan))| {
@@ -413,271 +638,57 @@ pub fn simulate_node(cfg: &NodeConfig, sessions: &[NodeSession]) -> NodeOutcome 
         rngs.push(rng);
     }
 
-    let mut stats = vec![NodeSessionStats::default(); n];
-    let mut trace: Option<Trace> = (cfg.trace_capacity > 0).then(|| Trace::new(cfg.trace_capacity));
-    let mut scratch = BatchPull::default();
-    let mut mb_scratch: Vec<MiniBatch> = Vec::new();
-    let mut pool: Vec<Vec<Request>> = Vec::new();
-    let mut node_busy = false; // coordinated: whole-GPU mutex
-    let mut cursor = 0usize;
-    let mut busy_us = 0u64;
+    let mut node = Node {
+        cfg,
+        sessions,
+        ladders,
+        slots,
+        events,
+        stats: vec![NodeSessionStats::default(); n],
+        trace: (cfg.trace_capacity > 0).then(|| Trace::new(cfg.trace_capacity)),
+        scratch: BatchPull::default(),
+        mb_scratch: Vec::new(),
+        pool: Vec::new(),
+        node_busy: false,
+        cursor: 0,
+        busy_us: 0,
+    };
     let mut next_req = 0u64;
-    let in_window = |t: Micros| t >= cfg.warmup && t < cfg.horizon;
 
     // Terminal accounting for a request.
     macro_rules! account {
-        ($stats:expr, $req:expr, $kind:ident) => {
-            if in_window($req.arrival) {
-                $stats[$req.session.0 as usize].$kind += 1;
+        ($req:expr, $kind:ident) => {
+            if in_window(cfg, $req.arrival) {
+                node.stats[$req.session.0 as usize].$kind += 1;
             }
         };
     }
 
-    // The service scan; returns the slot served, if any. Takes the event
-    // loop's working state piecewise — bundling it into a struct would just
-    // rename the borrows.
-    #[allow(clippy::too_many_arguments)]
-    fn try_serve(
-        now: Micros,
-        slots: &mut [NodeSlot],
-        sessions: &[NodeSession],
-        ladders: &[BatchLadder],
-        cfg: &NodeConfig,
-        cursor: usize,
-        only: Option<usize>,
-        events: &mut EventQueue<Ev>,
-        stats: &mut [NodeSessionStats],
-        busy_us: &mut u64,
-        warmup: Micros,
-        horizon: Micros,
-        scratch: &mut BatchPull,
-        mb_scratch: &mut Vec<MiniBatch>,
-        pool: &mut Vec<Vec<Request>>,
-        trace: &mut Option<Trace>,
-    ) -> Option<usize> {
-        // Round-robin scan from the cursor (or just the one slot) without
-        // materialising the visit order.
-        let (base, count) = match only {
-            Some(i) => (i, 1),
-            None => (cursor, slots.len()),
-        };
-        for k in 0..count {
-            let si = if count == 1 {
-                base
-            } else {
-                (base + k) % slots.len()
-            };
-            let slot = &mut slots[si];
-            if slot.busy || slot.queue.is_empty() || !slot.loaded {
-                continue;
-            }
-            // This pull's batch assignment: the next step of the slot's
-            // cyclic assignment ladder (static plans have one step).
-            let assigned = if cfg.ladder {
-                slot.plan[(slot.serves as usize) % slot.plan.len()]
-            } else {
-                slot.target
-            };
-            let queued = slot.queue.len() as u32;
-            if queued < assigned {
-                let oldest_arr = slot.queue.oldest_arrival().expect("non-empty");
-                let oldest_dl = slot.queue.oldest_deadline().expect("non-empty");
-                let n = queued.max(1);
-                // The latest safe start tracks the shape execution will
-                // pay: the covering rung in ladder mode, ℓ(n) otherwise.
-                let exec_est = if cfg.ladder {
-                    ladders[si].smallest_rung_geq(n).1
-                } else {
-                    slot.timing.latency_clamped(n)
-                };
-                let forced = oldest_dl
-                    .saturating_sub(exec_est)
-                    .saturating_sub(slot.reserve)
-                    .min(oldest_arr + slot.gather);
-                if now < forced {
-                    events.push(forced.max(now), Ev::Wake(si));
-                    continue;
-                }
-            }
-            // Under strict batching an infinite reserve pins the early-drop
-            // window to the planned batch size. Rotating plans re-split the
-            // worst case per pull: the reserve is the duty minus this
-            // pull's own execution share.
-            let reserve = if cfg.strict_batches {
-                Micros::MAX
-            } else if cfg.ladder && cfg.coordinated {
-                slot.gather
-                    .saturating_sub(ladders[si].rung_latency(assigned))
-            } else {
-                slot.reserve
-            };
-            if cfg.ladder {
-                // Coordinated slots are capped at the assigned slot length
-                // so the rung sequence never runs past what the shared plan
-                // promised co-located sessions; uncoordinated dispatch owns
-                // its container and recurses to the request budgets.
-                let allowance = if cfg.coordinated {
-                    ladders[si].rung_latency(assigned)
-                } else {
-                    Micros::MAX
-                };
-                slot.queue.pull_ladder_into(
-                    now,
-                    assigned,
-                    allowance,
-                    &sessions[si].profile,
-                    &ladders[si],
-                    cfg.drop_policy,
-                    reserve,
-                    scratch,
-                    mb_scratch,
-                );
-            } else {
-                slot.queue.pull_into(
-                    now,
-                    slot.target,
-                    &sessions[si].profile,
-                    cfg.drop_policy,
-                    reserve,
-                    scratch,
-                );
-            }
-            let min_start = trace
-                .is_some()
-                .then(|| now + slot.timing.latency_clamped(1));
-            for r in scratch.dropped.drain(..) {
-                if r.arrival >= warmup && r.arrival < horizon {
-                    stats[si].dropped += 1;
-                }
-                if let Some(tr) = trace {
-                    tr.push(TraceEvent::Drop {
-                        t: now,
-                        request: r.id.0,
-                        session: r.session,
-                        cause: classify_drop(r.deadline, min_start.expect("set when tracing")),
-                    });
-                }
-            }
-            if scratch.batch.is_empty() {
-                if let Some(expiry) = slot.queue.oldest_deadline() {
-                    events.push(expiry.max(now + Micros(1)), Ev::Wake(si));
-                }
-                continue;
-            }
-            let concurrent = if cfg.coordinated {
-                1
-            } else {
-                1 + slots.iter().filter(|s| s.busy).count()
-            };
-            let factor = cfg.interference.slowdown(concurrent);
-            slots[si].busy = true;
-            slots[si].serves = slots[si].serves.wrapping_add(1);
-            if cfg.ladder {
-                // Execute the rung sequence back-to-back in this slot: one
-                // `Done` per minibatch at its cumulative finish; only the
-                // last releases the GPU. A padded tail (len < rung) still
-                // pays — and is billed — the full rung latency.
-                let mb_count = mb_scratch.len();
-                let mut start = now;
-                for (j, mb) in mb_scratch.iter().enumerate() {
-                    let duration = ladders[si].rung_latency(mb.rung).scale(factor);
-                    let mut part = pool.pop().unwrap_or_default();
-                    part.extend(scratch.batch.drain(..mb.len as usize));
-                    *busy_us += duration.as_micros() / concurrent as u64;
-                    let seq = match trace {
-                        Some(tr) => {
-                            let seq = tr.alloc_batch_seq();
-                            tr.push(TraceEvent::Batch {
-                                t: start,
-                                backend: 0,
-                                session: SessionId(si as u32),
-                                size: mb.len,
-                                duration,
-                                rung: mb.rung,
-                                leftover: j > 0,
-                                seq,
-                            });
-                            seq
-                        }
-                        None => 0,
-                    };
-                    events.push(
-                        start + duration,
-                        Ev::Done {
-                            slot: si,
-                            batch: part,
-                            started: start,
-                            seq,
-                            last: j + 1 == mb_count,
-                        },
-                    );
-                    start += duration;
-                }
-                debug_assert!(scratch.batch.is_empty());
-                return Some(si);
-            }
-            // Hand the batch out and leave a recycled buffer in the scratch.
-            let batch = std::mem::replace(&mut scratch.batch, pool.pop().unwrap_or_default());
-            let b = batch.len() as u32;
-            let duration = sessions[si].profile.latency_clamped(b).scale(factor);
-            *busy_us += duration.as_micros() / concurrent as u64;
-            let seq = match trace {
-                Some(tr) => {
-                    let seq = tr.alloc_batch_seq();
-                    tr.push(TraceEvent::Batch {
-                        t: now,
-                        backend: 0,
-                        session: SessionId(si as u32),
-                        size: b,
-                        duration,
-                        rung: b,
-                        leftover: false,
-                        seq,
-                    });
-                    seq
-                }
-                None => 0,
-            };
-            events.push(
-                now + duration,
-                Ev::Done {
-                    slot: si,
-                    batch,
-                    started: now,
-                    seq,
-                    last: true,
-                },
-            );
-            return Some(si);
-        }
-        None
-    }
-
-    while let Some((now, ev)) = events.pop() {
+    while let Some((now, ev)) = node.events.pop() {
         match ev {
             Ev::Arrival(i) => {
                 if let Some(t) = gens[i].next_arrival(cfg.horizon, &mut rngs[i]) {
-                    events.push(t.max(now), Ev::Arrival(i));
+                    node.events.push(t.max(now), Ev::Arrival(i));
                 }
-                if in_window(now) {
-                    stats[i].arrived += 1;
+                if in_window(cfg, now) {
+                    node.stats[i].arrived += 1;
                 }
                 // Ids advance even for rejected arrivals so traced and
                 // untraced runs label requests identically.
                 let rid = next_req;
                 next_req += 1;
-                if let Some(tr) = &mut trace {
+                if let Some(tr) = &mut node.trace {
                     tr.push(TraceEvent::Arrival {
                         t: now,
                         request: rid,
                         session: SessionId(i as u32),
                     });
                 }
-                if !slots[i].loaded {
-                    if in_window(now) {
-                        stats[i].dropped += 1;
+                if !node.slots[i].loaded {
+                    if in_window(cfg, now) {
+                        node.stats[i].dropped += 1;
                     }
-                    if let Some(tr) = &mut trace {
+                    if let Some(tr) = &mut node.trace {
                         tr.push(TraceEvent::Drop {
                             t: now,
                             request: rid,
@@ -687,104 +698,16 @@ pub fn simulate_node(cfg: &NodeConfig, sessions: &[NodeSession]) -> NodeOutcome 
                     }
                     continue;
                 }
-                slots[i].queue.push(Request {
+                node.slots[i].queue.push(Request {
                     id: RequestId(rid),
                     session: SessionId(i as u32),
                     arrival: now,
                     deadline: now + sessions[i].slo,
                     query: None,
                 });
-                if cfg.coordinated {
-                    if !node_busy {
-                        if let Some(si) = try_serve(
-                            now,
-                            &mut slots,
-                            sessions,
-                            &ladders,
-                            cfg,
-                            cursor,
-                            None,
-                            &mut events,
-                            &mut stats,
-                            &mut busy_us,
-                            cfg.warmup,
-                            cfg.horizon,
-                            &mut scratch,
-                            &mut mb_scratch,
-                            &mut pool,
-                            &mut trace,
-                        ) {
-                            node_busy = true;
-                            cursor = (si + 1) % n.max(1);
-                        }
-                    }
-                } else if !slots[i].busy {
-                    let _ = try_serve(
-                        now,
-                        &mut slots,
-                        sessions,
-                        &ladders,
-                        cfg,
-                        cursor,
-                        Some(i),
-                        &mut events,
-                        &mut stats,
-                        &mut busy_us,
-                        cfg.warmup,
-                        cfg.horizon,
-                        &mut scratch,
-                        &mut mb_scratch,
-                        &mut pool,
-                        &mut trace,
-                    );
-                }
+                node.serve(now, i);
             }
-            Ev::Wake(i) => {
-                if cfg.coordinated {
-                    if !node_busy {
-                        if let Some(si) = try_serve(
-                            now,
-                            &mut slots,
-                            sessions,
-                            &ladders,
-                            cfg,
-                            cursor,
-                            None,
-                            &mut events,
-                            &mut stats,
-                            &mut busy_us,
-                            cfg.warmup,
-                            cfg.horizon,
-                            &mut scratch,
-                            &mut mb_scratch,
-                            &mut pool,
-                            &mut trace,
-                        ) {
-                            node_busy = true;
-                            cursor = (si + 1) % n.max(1);
-                        }
-                    }
-                } else if !slots[i].busy {
-                    let _ = try_serve(
-                        now,
-                        &mut slots,
-                        sessions,
-                        &ladders,
-                        cfg,
-                        cursor,
-                        Some(i),
-                        &mut events,
-                        &mut stats,
-                        &mut busy_us,
-                        cfg.warmup,
-                        cfg.horizon,
-                        &mut scratch,
-                        &mut mb_scratch,
-                        &mut pool,
-                        &mut trace,
-                    );
-                }
-            }
+            Ev::Wake(i) => node.serve(now, i),
             Ev::Done {
                 slot,
                 mut batch,
@@ -794,11 +717,11 @@ pub fn simulate_node(cfg: &NodeConfig, sessions: &[NodeSession]) -> NodeOutcome 
             } => {
                 for req in &batch {
                     if now <= req.deadline {
-                        account!(stats, req, good);
+                        account!(req, good);
                     } else {
-                        account!(stats, req, late);
+                        account!(req, late);
                     }
-                    if let Some(tr) = &mut trace {
+                    if let Some(tr) = &mut node.trace {
                         tr.push(TraceEvent::Completion {
                             t: now,
                             request: req.id.0,
@@ -811,64 +734,30 @@ pub fn simulate_node(cfg: &NodeConfig, sessions: &[NodeSession]) -> NodeOutcome 
                     }
                 }
                 batch.clear();
-                pool.push(batch);
+                node.pool.push(batch);
                 if !last {
                     // A ladder minibatch finished but the slot's rung
                     // sequence is still executing; the GPU stays held.
                     continue;
                 }
-                slots[slot].busy = false;
-                if cfg.coordinated {
-                    node_busy = false;
-                    if let Some(si) = try_serve(
-                        now,
-                        &mut slots,
-                        sessions,
-                        &ladders,
-                        cfg,
-                        cursor,
-                        None,
-                        &mut events,
-                        &mut stats,
-                        &mut busy_us,
-                        cfg.warmup,
-                        cfg.horizon,
-                        &mut scratch,
-                        &mut mb_scratch,
-                        &mut pool,
-                        &mut trace,
-                    ) {
-                        node_busy = true;
-                        cursor = (si + 1) % n.max(1);
-                    }
-                } else {
-                    let _ = try_serve(
-                        now,
-                        &mut slots,
-                        sessions,
-                        &ladders,
-                        cfg,
-                        cursor,
-                        Some(slot),
-                        &mut events,
-                        &mut stats,
-                        &mut busy_us,
-                        cfg.warmup,
-                        cfg.horizon,
-                        &mut scratch,
-                        &mut mb_scratch,
-                        &mut pool,
-                        &mut trace,
-                    );
-                }
+                node.slots[slot].busy = false;
+                node.node_busy = false;
+                node.serve(now, slot);
             }
         }
     }
+    let Node {
+        mut slots,
+        mut stats,
+        mut trace,
+        busy_us,
+        ..
+    } = node;
 
     // Requests still queued never completed.
     for (i, slot) in slots.iter_mut().enumerate() {
         for r in slot.queue.drain() {
-            if r.arrival >= cfg.warmup && r.arrival < cfg.horizon {
+            if in_window(cfg, r.arrival) {
                 stats[i].dropped += 1;
             }
             if let Some(tr) = &mut trace {

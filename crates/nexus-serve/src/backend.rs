@@ -62,8 +62,6 @@ struct Shared {
     killed: AtomicBool,
     /// Clean-shutdown flag: drain and exit.
     shutdown: AtomicBool,
-    /// Extra artificial latency per request, µs (fault injection knob).
-    exec_delay_us: AtomicU64,
     /// Requests executed.
     executed: AtomicU64,
     handlers: Mutex<Vec<JoinHandle<()>>>,
@@ -83,17 +81,6 @@ impl BackendHandle {
     /// [`BackendHandle::shutdown`].
     pub fn kill(&self) {
         self.shared.killed.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether [`BackendHandle::kill`] was called.
-    pub fn is_killed(&self) -> bool {
-        self.shared.killed.load(Ordering::SeqCst)
-    }
-
-    /// Injects `us` of extra latency into every subsequent execution —
-    /// the slow-loris knob.
-    pub fn set_exec_delay_us(&self, us: u64) {
-        self.shared.exec_delay_us.store(us, Ordering::SeqCst);
     }
 
     /// Requests executed so far.
@@ -127,7 +114,6 @@ pub fn spawn_backend(model: impl BackendModel) -> io::Result<BackendHandle> {
         model: Box::new(model),
         killed: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
-        exec_delay_us: AtomicU64::new(0),
         executed: AtomicU64::new(0),
         handlers: Mutex::new(Vec::new()),
     });
@@ -198,15 +184,6 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
                 session,
                 cost_us,
             } => {
-                let extra = shared.exec_delay_us.load(Ordering::SeqCst);
-                if extra > 0 {
-                    thread::sleep(Duration::from_micros(extra));
-                }
-                // Re-check for a kill that landed while we slept: a
-                // crashed node never answers.
-                if shared.killed.load(Ordering::SeqCst) {
-                    return;
-                }
                 let ok = shared.model.execute(session, cost_us);
                 shared.executed.fetch_add(1, Ordering::Relaxed);
                 Msg::ExecDone { request, ok }

@@ -139,11 +139,6 @@ impl FaultSchedule {
     pub fn specs(&self) -> &[FaultSpec] {
         &self.faults
     }
-
-    /// Consumes the schedule into its specs.
-    pub fn into_specs(self) -> Vec<FaultSpec> {
-        self.faults
-    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use nexus_profile::{BatchingProfile, DeviceType, Micros};
+use nexus_profile::{DeviceType, Micros};
 
 /// Identifies something resident in GPU memory (a model or a shared prefix).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -201,12 +201,6 @@ impl SimGpu {
         self.busy_total += duration;
         self.executions += 1;
         self.items_processed += u64::from(items);
-    }
-
-    /// Convenience: executes a batch of `b` inputs of a model with
-    /// `profile`, starting no earlier than `start`.
-    pub fn execute_batch(&mut self, profile: &BatchingProfile, b: u32, start: Micros) -> Execution {
-        self.execute(start, profile.latency(b), b)
     }
 
     /// Total GPU-busy virtual time.
