@@ -92,6 +92,15 @@ echo "== hetero smoke: committed mixed-fleet goodput-per-dollar point =="
 # (a session whose latency budget no available device class can hold).
 cargo run --release -q -p bench --bin hetero_smoke
 
+# ci-step: hostile-inputs
+echo "== hostile inputs: deep nesting and out-of-range workload values =="
+# With the release binaries built above: a file of 100 000 `[` through
+# `nexus-trace summarize` and `simulate`, and one workload file per
+# out-of-range value through `simulate`, must each exit 1 with `error:` on
+# stderr — never a panic (101), a stack overflow (134) or a hang (124
+# under `timeout 20`).
+scripts/hostile_inputs.sh
+
 # ci-step: drift-check
 echo "== ci.sh <-> ci.yml drift check =="
 # Every gated step carries a `ci-step:` marker in both this script and the

@@ -20,8 +20,7 @@ use nexus_profile::Micros;
 use serde_json::Value;
 
 fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    v.as_object()
-        .and_then(|obj| serde::find_field(obj, key))
+    v.get(key)
         .unwrap_or_else(|| panic!("hetero.json missing field `{key}`"))
 }
 

@@ -36,18 +36,11 @@ fn main() {
     let json = std::fs::read_to_string(&workload_path)
         .unwrap_or_else(|e| fail(format!("cannot read {workload_path:?}: {e}")));
     let w = WorkloadFile::from_json(&json).unwrap_or_else(|e| fail(e));
-    if w.secs == 0 {
-        // An empty measurement window is a constructor panic; a workload
-        // file is outside input, so it gets the clean error instead.
-        fail("\"secs\" must be at least 1: nothing would be measured");
-    }
-
     let device = w.device_type().unwrap_or_else(|e| fail(e));
     let system = w.system_config().unwrap_or_else(|e| fail(e));
     let classes = w.classes().unwrap_or_else(|e| fail(e));
     let faults = w.faults().unwrap_or_else(|e| fail(e));
-    let warmup = nexus_profile::Micros::from_secs((w.secs / 4).clamp(2, 10));
-    let horizon = nexus_profile::Micros::from_secs(w.secs) + warmup;
+    let (warmup, horizon) = w.window().unwrap_or_else(|e| fail(e));
 
     println!(
         "simulating {:?}: {} app stream(s), {} {} GPUs, system {}, {}s measured{}",

@@ -14,7 +14,7 @@ pub struct AppEntry {
     /// Table 4 application name (`game`, `traffic`, `traffic_rush`,
     /// `dance`, `bb`, `bike`, `amber`, `logo`).
     pub app: String,
-    /// Offered root rate, frames/second.
+    /// Offered root rate, frames/second: positive, at most [`MAX_RATE`].
     pub rate: f64,
     /// `uniform` (default) or `poisson`.
     #[serde(default)]
@@ -22,14 +22,15 @@ pub struct AppEntry {
     /// Multiplies the app's latency SLO (e.g. 2.0 on K80-class devices).
     #[serde(default)]
     pub slo_scale: Option<f64>,
-    /// Piecewise rate modulation: `[seconds, factor]` pairs.
+    /// Piecewise rate modulation: time-sorted `[seconds, factor]` pairs,
+    /// seconds ≥ 0, each factor keeping the rate in `(0, MAX_RATE]`.
     #[serde(default)]
     pub modulation: Vec<(f64, f64)>,
     /// Custom single-stage app: catalog model name. When set, `app` becomes
     /// the display name and `slo_ms` is required.
     #[serde(default)]
     pub model: Option<String>,
-    /// Latency SLO in milliseconds for a custom single-stage app.
+    /// Latency SLO in milliseconds (≥ 1) for a custom single-stage app.
     #[serde(default)]
     pub slo_ms: Option<u64>,
 }
@@ -63,7 +64,7 @@ pub struct WorkloadFile {
     /// `nexus-parallel`, or an ablation (`-PB`, `-SS`, `-ED`, `-OL`, `-QA`).
     #[serde(default)]
     pub system: Option<String>,
-    /// Measured seconds (warm-up is added on top).
+    /// Measured seconds, at least 1 (warm-up is added on top).
     pub secs: u64,
     /// RNG seed.
     #[serde(default)]
@@ -89,6 +90,16 @@ impl std::fmt::Display for WorkloadError {
 }
 
 impl std::error::Error for WorkloadError {}
+
+/// Highest accepted arrival rate, requests/second, modulation included: one
+/// per microsecond. The simulation clock ticks in microseconds, so above
+/// this successive arrivals stop advancing time.
+pub const MAX_RATE: f64 = 1_000_000.0;
+
+/// Whether `rate` is a usable arrival rate (NaN fails both comparisons).
+fn rate_in_range(rate: f64) -> bool {
+    rate > 0.0 && rate <= MAX_RATE
+}
 
 impl WorkloadFile {
     /// Parses a JSON workload description.
@@ -129,6 +140,31 @@ impl WorkloadFile {
         Ok(cfg)
     }
 
+    /// The run's `(warmup, horizon)`: `secs` measured seconds after a
+    /// warm-up of a quarter of that, clamped to 2–10 s.
+    pub fn window(&self) -> Result<(Micros, Micros), WorkloadError> {
+        if self.secs == 0 {
+            return Err(WorkloadError(
+                "\"secs\" must be at least 1: nothing would be measured".into(),
+            ));
+        }
+        let warmup_secs = (self.secs / 4).clamp(2, 10);
+        let horizon_micros = self
+            .secs
+            .checked_add(warmup_secs)
+            .and_then(|s| s.checked_mul(1_000_000))
+            .ok_or_else(|| {
+                WorkloadError(format!(
+                    "\"secs\" {} is beyond the simulation clock",
+                    self.secs
+                ))
+            })?;
+        Ok((
+            Micros::from_secs(warmup_secs),
+            Micros::from_micros(horizon_micros),
+        ))
+    }
+
     /// Builds the traffic classes.
     pub fn classes(&self) -> Result<Vec<TrafficClass>, WorkloadError> {
         self.apps
@@ -142,6 +178,9 @@ impl WorkloadFile {
                     let slo_ms = entry.slo_ms.ok_or_else(|| {
                         WorkloadError(format!("custom app {:?} needs slo_ms", entry.app))
                     })?;
+                    if slo_ms == 0 {
+                        return Err(WorkloadError("slo_ms must be at least 1".into()));
+                    }
                     AppSpec {
                         name: entry.app.clone(),
                         slo: Micros::from_millis(slo_ms),
@@ -176,6 +215,26 @@ impl WorkloadFile {
                     "poisson" => ArrivalKind::Poisson,
                     other => return Err(WorkloadError(format!("unknown arrival {other:?}"))),
                 };
+                if !rate_in_range(entry.rate) {
+                    return Err(WorkloadError(format!(
+                        "rate must be in (0, {MAX_RATE}] requests/s, got {:?}",
+                        entry.rate
+                    )));
+                }
+                for &(secs, factor) in &entry.modulation {
+                    if !(secs.is_finite() && secs >= 0.0) {
+                        return Err(WorkloadError("modulation time must be >= 0".into()));
+                    }
+                    if !rate_in_range(entry.rate * factor) {
+                        return Err(WorkloadError(format!(
+                            "modulation factor {factor:?} takes the rate outside \
+                             (0, {MAX_RATE}] requests/s"
+                        )));
+                    }
+                }
+                if !entry.modulation.windows(2).all(|w| w[0].0 <= w[1].0) {
+                    return Err(WorkloadError("modulation must be time-sorted".into()));
+                }
                 let modulation = entry
                     .modulation
                     .iter()
@@ -369,6 +428,63 @@ mod tests {
             .unwrap()
             .faults()
             .is_err());
+    }
+
+    /// Values that used to reach a library assert, hang, or exhaust memory
+    /// (DESIGN §12): each is a typed error from the reader, and its valid
+    /// neighbour still reads.
+    #[test]
+    fn out_of_range_values_are_typed_errors() {
+        let reads = |json: &str| {
+            WorkloadFile::from_json(json).and_then(|w| {
+                w.window()?;
+                w.classes()
+            })
+        };
+        let with_app = |secs: &str, app: &str| {
+            format!(r#"{{"gpus": 4, "secs": {secs}, "apps": [{{"app": "game", {app}}}]}}"#)
+        };
+        let custom = |slo_ms: u64| {
+            let app = format!(r#""model": "resnet50", "slo_ms": {slo_ms}, "rate": 1.0"#);
+            with_app("5", &app)
+        };
+        for bad in [
+            with_app("5", r#""rate": -5.0"#),
+            with_app("5", r#""rate": 0.0"#),
+            with_app("5", r#""rate": 1e300"#),
+            with_app("5", r#""rate": 1000001.0"#),
+            with_app("5", r#""rate": 1e999"#),
+            with_app("5", r#""rate": 10.0, "modulation": [[-1.0, 1.0]]"#),
+            with_app("5", r#""rate": 10.0, "modulation": [[0.0, 0.0]]"#),
+            with_app("5", r#""rate": 10.0, "modulation": [[0.0, -1.0]]"#),
+            with_app("5", r#""rate": 10.0, "modulation": [[0.0, 1e300]]"#),
+            with_app("5", r#""rate": 10.0, "modulation": [[0.0, 1e999]]"#),
+            with_app(
+                "5",
+                r#""rate": 10.0, "modulation": [[5.0, 1.0], [1.0, 2.0]]"#,
+            ),
+            with_app("0", r#""rate": 10.0"#),
+            with_app("18446744073709551615", r#""rate": 10.0"#),
+            with_app("18446744073709", r#""rate": 10.0"#),
+            with_app("-1", r#""rate": 10.0"#),
+            custom(0),
+            "[".repeat(100_000),
+        ] {
+            let shown = &bad[..bad.len().min(120)];
+            assert!(reads(&bad).is_err(), "accepted {shown}");
+        }
+        for good in [
+            with_app("5", r#""rate": 1000000.0"#),
+            with_app("5", r#""rate": 1e-9"#),
+            with_app(
+                "5",
+                r#""rate": 10.0, "modulation": [[0.0, 0.5], [0.0, 2.0], [1e9, 1.0]]"#,
+            ),
+            with_app("18446744073699", r#""rate": 10.0"#),
+            custom(1),
+        ] {
+            assert!(reads(&good).is_ok(), "rejected {good}");
+        }
     }
 
     #[test]

@@ -164,11 +164,7 @@ pub fn render(result: &SimResult) -> String {
             "Dropped requests by cause (edge admission rejects included).",
         );
         for (cause, n) in ALL_CAUSES.iter().zip(by_cause) {
-            let _ = writeln!(
-                out,
-                "nexus_drops_total{{cause=\"{}\"}} {n}",
-                crate::raw::drop_cause_name(*cause)
-            );
+            let _ = writeln!(out, "nexus_drops_total{{cause=\"{cause:?}\"}} {n}");
         }
         counter_header(
             &mut out,

@@ -100,7 +100,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Lossless round-trip: encode → serialize → parse → decode recovers
-    /// every event bit-for-bit, for arbitrary event streams.
+    /// every event bit-for-bit, for arbitrary event streams, and encoding
+    /// what was decoded writes the same bytes again.
     #[test]
     fn trace_file_round_trips_losslessly(
         events in prop::collection::vec(arb_event(), 0..40),
@@ -109,6 +110,7 @@ proptest! {
         let text = raw::encode(&events, truncated, None).to_string();
         let doc = crate::json::parse(&text).expect("own output parses");
         let back = raw::decode(&doc).expect("own output decodes");
+        prop_assert_eq!(raw::encode(&back.events, back.truncated, None).to_string(), text);
         prop_assert_eq!(back.events, events);
         prop_assert_eq!(back.truncated, truncated);
     }

@@ -12,14 +12,12 @@
 //! }
 //! ```
 //!
-//! Events use externally-tagged variants with field names matching the
-//! `TraceEvent` declaration, so files written here match what a
-//! serde_json-serialized `Trace` would contain.
+//! Events are `TraceEvent`'s serde derive: externally-tagged variants with
+//! field names matching the declaration, so adding a variant or a field
+//! there is the whole codec change (plus a [`SCHEMA_VERSION`] bump).
 
-use nexus_profile::Micros;
-use nexus_runtime::{DropCause, TraceEvent};
-use nexus_scheduler::SessionId;
-use nexus_simgpu::FaultKind;
+use nexus_runtime::TraceEvent;
+use serde::{Deserialize, Serialize};
 
 use crate::json::Json;
 
@@ -63,10 +61,7 @@ pub fn encode(events: &[TraceEvent], truncated: u64, meta: Option<Json>) -> Json
     if let Some(meta) = meta {
         fields.push(("meta".to_string(), meta));
     }
-    fields.push((
-        "events".to_string(),
-        Json::Array(events.iter().map(event_to_json).collect()),
-    ));
+    fields.push(("events".to_string(), events.to_value()));
     Json::Object(fields)
 }
 
@@ -96,332 +91,23 @@ pub fn decode(doc: &Json) -> Result<TraceFile, SchemaError> {
     })
 }
 
-fn micros(v: Micros) -> Json {
-    Json::UInt(v.as_micros())
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn tagged(tag: &str, body: Json) -> Json {
-    Json::Object(vec![(tag.to_string(), body)])
-}
-
-pub(crate) fn drop_cause_name(cause: DropCause) -> &'static str {
-    match cause {
-        DropCause::NoRoute => "NoRoute",
-        DropCause::EarlySacrifice => "EarlySacrifice",
-        DropCause::Expired => "Expired",
-        DropCause::Orphaned => "Orphaned",
-        DropCause::Stranded => "Stranded",
-        DropCause::RunEnd => "RunEnd",
-        DropCause::AdmissionRejected => "AdmissionRejected",
-    }
-}
-
-fn drop_cause_from(name: &str) -> Result<DropCause, SchemaError> {
-    Ok(match name {
-        "NoRoute" => DropCause::NoRoute,
-        "EarlySacrifice" => DropCause::EarlySacrifice,
-        "Expired" => DropCause::Expired,
-        "Orphaned" => DropCause::Orphaned,
-        "Stranded" => DropCause::Stranded,
-        "RunEnd" => DropCause::RunEnd,
-        "AdmissionRejected" => DropCause::AdmissionRejected,
-        other => return Err(err(format!("unknown drop cause {other:?}"))),
-    })
-}
-
-fn fault_kind_to_json(kind: &FaultKind) -> Json {
-    match kind {
-        FaultKind::Crash => Json::Str("Crash".to_string()),
-        FaultKind::Rejoin => Json::Str("Rejoin".to_string()),
-        FaultKind::Stall { duration } => {
-            tagged("Stall", obj(vec![("duration", micros(*duration))]))
-        }
-        FaultKind::Slowdown { factor, duration } => tagged(
-            "Slowdown",
-            obj(vec![
-                ("factor", Json::Float(*factor)),
-                ("duration", micros(*duration)),
-            ]),
-        ),
-        FaultKind::ConnDrop { duration } => {
-            tagged("ConnDrop", obj(vec![("duration", micros(*duration))]))
-        }
-        FaultKind::HeartbeatDelay { duration } => {
-            tagged("HeartbeatDelay", obj(vec![("duration", micros(*duration))]))
-        }
-        FaultKind::SlowLoris { factor, duration } => tagged(
-            "SlowLoris",
-            obj(vec![
-                ("factor", Json::Float(*factor)),
-                ("duration", micros(*duration)),
-            ]),
-        ),
-    }
-}
-
-fn fault_kind_from_json(j: &Json) -> Result<FaultKind, SchemaError> {
-    if let Some(name) = j.as_str() {
-        return Ok(match name {
-            "Crash" => FaultKind::Crash,
-            "Rejoin" => FaultKind::Rejoin,
-            other => return Err(err(format!("unknown fault kind {other:?}"))),
-        });
-    }
-    if let Some(body) = j.get("Stall") {
-        return Ok(FaultKind::Stall {
-            duration: field_micros(body, "duration")?,
-        });
-    }
-    if let Some(body) = j.get("Slowdown") {
-        return Ok(FaultKind::Slowdown {
-            factor: body
-                .get("factor")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| err("Slowdown.factor"))?,
-            duration: field_micros(body, "duration")?,
-        });
-    }
-    if let Some(body) = j.get("ConnDrop") {
-        return Ok(FaultKind::ConnDrop {
-            duration: field_micros(body, "duration")?,
-        });
-    }
-    if let Some(body) = j.get("HeartbeatDelay") {
-        return Ok(FaultKind::HeartbeatDelay {
-            duration: field_micros(body, "duration")?,
-        });
-    }
-    if let Some(body) = j.get("SlowLoris") {
-        return Ok(FaultKind::SlowLoris {
-            factor: body
-                .get("factor")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| err("SlowLoris.factor"))?,
-            duration: field_micros(body, "duration")?,
-        });
-    }
-    Err(err("unrecognized fault kind"))
-}
-
-fn field_u64(body: &Json, name: &str) -> Result<u64, SchemaError> {
-    body.get(name)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| err(format!("missing integer field {name:?}")))
-}
-
-fn field_micros(body: &Json, name: &str) -> Result<Micros, SchemaError> {
-    field_u64(body, name).map(Micros::from_micros)
-}
-
-fn field_session(body: &Json) -> Result<SessionId, SchemaError> {
-    let raw = field_u64(body, "session")?;
-    u32::try_from(raw)
-        .map(SessionId)
-        .map_err(|_| err("session id out of range"))
-}
-
 /// Encodes one event as an externally-tagged JSON object.
 pub fn event_to_json(e: &TraceEvent) -> Json {
-    match e {
-        TraceEvent::Arrival {
-            t,
-            request,
-            session,
-        } => tagged(
-            "Arrival",
-            obj(vec![
-                ("t", micros(*t)),
-                ("request", Json::UInt(*request)),
-                ("session", Json::UInt(u64::from(session.0))),
-            ]),
-        ),
-        TraceEvent::Batch {
-            t,
-            backend,
-            session,
-            size,
-            duration,
-            rung,
-            leftover,
-            seq,
-        } => tagged(
-            "Batch",
-            obj(vec![
-                ("t", micros(*t)),
-                ("backend", Json::UInt(*backend as u64)),
-                ("session", Json::UInt(u64::from(session.0))),
-                ("size", Json::UInt(u64::from(*size))),
-                ("duration", micros(*duration)),
-                ("rung", Json::UInt(u64::from(*rung))),
-                ("leftover", Json::Bool(*leftover)),
-                ("seq", Json::UInt(*seq)),
-            ]),
-        ),
-        TraceEvent::Completion {
-            t,
-            request,
-            session,
-            latency,
-            exec_start,
-            batch_seq,
-            good,
-        } => tagged(
-            "Completion",
-            obj(vec![
-                ("t", micros(*t)),
-                ("request", Json::UInt(*request)),
-                ("session", Json::UInt(u64::from(session.0))),
-                ("latency", micros(*latency)),
-                ("exec_start", micros(*exec_start)),
-                ("batch_seq", Json::UInt(*batch_seq)),
-                ("good", Json::Bool(*good)),
-            ]),
-        ),
-        TraceEvent::Drop {
-            t,
-            request,
-            session,
-            cause,
-        } => tagged(
-            "Drop",
-            obj(vec![
-                ("t", micros(*t)),
-                ("request", Json::UInt(*request)),
-                ("session", Json::UInt(u64::from(session.0))),
-                ("cause", Json::Str(drop_cause_name(*cause).to_string())),
-            ]),
-        ),
-        TraceEvent::Reallocation {
-            t,
-            gpus,
-            model_loads,
-        } => tagged(
-            "Reallocation",
-            obj(vec![
-                ("t", micros(*t)),
-                ("gpus", Json::UInt(u64::from(*gpus))),
-                ("model_loads", Json::UInt(*model_loads as u64)),
-            ]),
-        ),
-        TraceEvent::Fault { t, gpu, kind } => tagged(
-            "Fault",
-            obj(vec![
-                ("t", micros(*t)),
-                ("gpu", Json::UInt(*gpu as u64)),
-                ("kind", fault_kind_to_json(kind)),
-            ]),
-        ),
-        TraceEvent::FailureDetected { t, gpu } => tagged(
-            "FailureDetected",
-            obj(vec![("t", micros(*t)), ("gpu", Json::UInt(*gpu as u64))]),
-        ),
-        TraceEvent::Retry {
-            t,
-            request,
-            session,
-        } => tagged(
-            "Retry",
-            obj(vec![
-                ("t", micros(*t)),
-                ("request", Json::UInt(*request)),
-                ("session", Json::UInt(u64::from(session.0))),
-            ]),
-        ),
-        TraceEvent::Rejoin { t, gpu } => tagged(
-            "Rejoin",
-            obj(vec![("t", micros(*t)), ("gpu", Json::UInt(*gpu as u64))]),
-        ),
-    }
+    e.to_value()
 }
 
 /// Decodes one externally-tagged event object.
 pub fn event_from_json(j: &Json) -> Result<TraceEvent, SchemaError> {
-    let Json::Object(fields) = j else {
-        return Err(err("event is not an object"));
-    };
-    let [(tag, body)] = fields.as_slice() else {
-        return Err(err("event must have exactly one variant tag"));
-    };
-    Ok(match tag.as_str() {
-        "Arrival" => TraceEvent::Arrival {
-            t: field_micros(body, "t")?,
-            request: field_u64(body, "request")?,
-            session: field_session(body)?,
-        },
-        "Batch" => TraceEvent::Batch {
-            t: field_micros(body, "t")?,
-            backend: field_u64(body, "backend")? as usize,
-            session: field_session(body)?,
-            size: u32::try_from(field_u64(body, "size")?).map_err(|_| err("size"))?,
-            duration: field_micros(body, "duration")?,
-            rung: u32::try_from(field_u64(body, "rung")?).map_err(|_| err("rung"))?,
-            leftover: body
-                .get("leftover")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| err("leftover"))?,
-            seq: field_u64(body, "seq")?,
-        },
-        "Completion" => TraceEvent::Completion {
-            t: field_micros(body, "t")?,
-            request: field_u64(body, "request")?,
-            session: field_session(body)?,
-            latency: field_micros(body, "latency")?,
-            exec_start: field_micros(body, "exec_start")?,
-            batch_seq: field_u64(body, "batch_seq")?,
-            good: body
-                .get("good")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| err("good"))?,
-        },
-        "Drop" => TraceEvent::Drop {
-            t: field_micros(body, "t")?,
-            request: field_u64(body, "request")?,
-            session: field_session(body)?,
-            cause: drop_cause_from(
-                body.get("cause")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| err("cause"))?,
-            )?,
-        },
-        "Reallocation" => TraceEvent::Reallocation {
-            t: field_micros(body, "t")?,
-            gpus: u32::try_from(field_u64(body, "gpus")?).map_err(|_| err("gpus"))?,
-            model_loads: field_u64(body, "model_loads")? as usize,
-        },
-        "Fault" => TraceEvent::Fault {
-            t: field_micros(body, "t")?,
-            gpu: field_u64(body, "gpu")? as usize,
-            kind: fault_kind_from_json(body.get("kind").ok_or_else(|| err("kind"))?)?,
-        },
-        "FailureDetected" => TraceEvent::FailureDetected {
-            t: field_micros(body, "t")?,
-            gpu: field_u64(body, "gpu")? as usize,
-        },
-        "Retry" => TraceEvent::Retry {
-            t: field_micros(body, "t")?,
-            request: field_u64(body, "request")?,
-            session: field_session(body)?,
-        },
-        "Rejoin" => TraceEvent::Rejoin {
-            t: field_micros(body, "t")?,
-            gpu: field_u64(body, "gpu")? as usize,
-        },
-        other => return Err(err(format!("unknown event tag {other:?}"))),
-    })
+    Deserialize::from_value(j).map_err(|e| err(e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexus_profile::Micros;
+    use nexus_runtime::DropCause;
+    use nexus_scheduler::SessionId;
+    use nexus_simgpu::FaultKind;
 
     fn ms(v: u64) -> Micros {
         Micros::from_millis(v)

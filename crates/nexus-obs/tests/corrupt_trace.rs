@@ -3,11 +3,18 @@
 //! as a typed error (or, when the mutation happens to keep the document
 //! well-formed, a successfully decoded file) — never a panic. The decode
 //! path is used on operator-supplied files by the `nexus-trace` CLI, so
-//! "garbage in, panic out" is a usability bug.
+//! "garbage in, panic out" is a usability bug. The committed workload
+//! files go through the same mutations and `simulate`'s read path.
 
+use bench::workload_file::WorkloadFile;
 use nexus_obs::{parse_json, raw, reconstruct};
 
 const GOLDEN: &str = include_str!("golden/fig13_mini.trace.json");
+
+const WORKLOADS: [&str; 2] = [
+    include_str!("../../../workloads/sample.json"),
+    include_str!("../../../workloads/fault_recovery.json"),
+];
 
 fn splitmix64(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -85,5 +92,45 @@ fn bit_flipped_traces_never_panic_the_decoder() {
         // decodes); panicking is not — the assert inside the pipeline
         // checks decoded spans stay consistent either way.
         let _ = pipeline_survives(&text);
+    }
+}
+
+/// Parse → every accessor `simulate` calls before it builds the cluster,
+/// asserting none panics on `text`. Returns whether all of them succeeded.
+fn workload_survives(text: &str) -> bool {
+    let Ok(w) = WorkloadFile::from_json(text) else {
+        return false;
+    };
+    // `&`, not `&&`: every accessor runs even after one has failed.
+    w.device_type().is_ok()
+        & w.system_config().is_ok()
+        & w.window().is_ok()
+        & w.classes().is_ok()
+        & w.faults().is_ok()
+}
+
+#[test]
+fn mutated_workload_files_are_typed_errors() {
+    let mut state = 0x5eed_cafe_f00d_u64;
+    for golden in WORKLOADS {
+        assert!(workload_survives(golden));
+        // The files are a few hundred ASCII bytes: every prefix is cut.
+        for cut in 0..golden.len() {
+            let material = !golden[cut..].trim().is_empty();
+            assert!(
+                !(material && workload_survives(&golden[..cut])),
+                "truncated prefix of {cut} bytes read as a complete workload"
+            );
+        }
+        for _ in 0..2_000 {
+            let mut bytes = golden.as_bytes().to_vec();
+            for _ in 0..1 + splitmix64(&mut state) % 4 {
+                let pos = (splitmix64(&mut state) % bytes.len() as u64) as usize;
+                bytes[pos] ^= (splitmix64(&mut state) % 255 + 1) as u8;
+            }
+            // A flip may leave a valid workload (a digit for a digit); what
+            // it may not do is reach a library assert.
+            let _ = workload_survives(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

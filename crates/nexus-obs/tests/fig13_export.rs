@@ -113,6 +113,17 @@ fn capture_matches_committed_golden() {
     );
 }
 
+/// The committed golden re-encodes to itself: parse → decode → encode →
+/// write is the identity on every byte of a real capture, so the derived
+/// codec and the shared writer read and write one format.
+#[test]
+fn committed_golden_re_encodes_byte_for_byte() {
+    let golden = include_str!("golden/fig13_mini.trace.json");
+    let file = raw::decode(&nexus_obs::parse_json(golden).unwrap()).unwrap();
+    let text = raw::encode(&file.events, file.truncated, file.meta).to_string();
+    assert!(text == golden, "{} vs {} bytes", text.len(), golden.len());
+}
+
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
     let traced = fig13_mini();

@@ -324,9 +324,8 @@ pub struct ClusterSim {
     /// Physical GPU slots per pool (sums to `cfg.max_gpus`).
     pool_sizes: Vec<usize>,
     backends: Vec<Backend>,
-    /// Routing state per frontend: `routes[frontend][session]`.
-    routes: Vec<Vec<Route>>,
-    next_frontend: usize,
+    /// Routing state per session.
+    routes: Vec<Route>,
     /// (class, stage) → session ids (one per variant; single when merged).
     stage_sessions: Vec<Vec<Vec<SessionId>>>,
     variant_cursor: Vec<Vec<usize>>,
@@ -499,7 +498,7 @@ impl ClusterSim {
             (bases, pools.iter().map(|p| p.gpus as usize).collect())
         };
         let backends = build_backends(&control, &cfg.system);
-        let routes = build_frontends(&control, cfg.system.frontends);
+        let routes = build_routes(&control);
         let stage_sessions = index_sessions(&classes, &control);
         let variant_cursor = classes
             .iter()
@@ -571,7 +570,6 @@ impl ClusterSim {
             pool_sizes,
             backends,
             routes,
-            next_frontend: 0,
             stage_sessions,
             variant_cursor,
             events,
@@ -707,8 +705,7 @@ impl ClusterSim {
                 session,
             });
         }
-        let fe = self.take_frontend();
-        match self.routes[fe][session.0 as usize].pick(&mut self.route_rng) {
+        match self.routes[session.0 as usize].pick(&mut self.route_rng) {
             Some(backend) => {
                 let slot = self.backends[backend]
                     .slot_of(session)
@@ -731,19 +728,6 @@ impl ClusterSim {
                 self.tracker.record(query, RequestOutcome::Dropped(now));
             }
         }
-    }
-
-    /// Round-robin frontend cursor. The frontend count is fixed for the
-    /// whole run (`build_frontends` always makes `system.frontends`
-    /// routes), so a compare-and-reset cursor walks the same sequence the
-    /// old `% routes.len()` did without the division.
-    fn take_frontend(&mut self) -> usize {
-        let fe = self.next_frontend;
-        self.next_frontend += 1;
-        if self.next_frontend == self.routes.len() {
-            self.next_frontend = 0;
-        }
-        fe
     }
 
     /// Arms a wake for the backend (coordinated) or slot (uncoordinated).
@@ -1432,7 +1416,7 @@ impl ClusterSim {
             }
         }
         self.generation += 1;
-        self.routes = build_frontends(&next, self.cfg.system.frontends);
+        self.routes = build_routes(&next);
         // The outgoing backends' busy time would vanish with them (reused
         // backends get fresh devices too); bank it for `summarize`.
         self.retired_busy += self
@@ -1444,8 +1428,7 @@ impl ClusterSim {
         self.backend_slot = new_backend_slot;
         self.control = next;
         for req in orphans {
-            let fe = self.take_frontend();
-            match self.routes[fe][req.session.0 as usize].pick(&mut self.route_rng) {
+            match self.routes[req.session.0 as usize].pick(&mut self.route_rng) {
                 Some(backend) => {
                     let slot = self.backends[backend]
                         .slot_of(req.session)
@@ -1668,8 +1651,7 @@ impl ClusterSim {
         let session = req.session;
         let exec = &self.control.sessions[session.0 as usize].exec_profile;
         if req.deadline >= now + BatchLadder::from_profile(exec).min_latency() {
-            let fe = self.take_frontend();
-            if let Some(backend) = self.routes[fe][session.0 as usize].pick(&mut self.route_rng) {
+            if let Some(backend) = self.routes[session.0 as usize].pick(&mut self.route_rng) {
                 if let Some(tr) = &mut self.trace {
                     tr.push(TraceEvent::Retry {
                         t: now,
@@ -2143,6 +2125,10 @@ fn build_backends(control: &ControlPlan, system: &SystemConfig) -> Vec<Backend> 
     backends
 }
 
+/// One weighted-round-robin route per session. Target `i` starts with a
+/// credit of `-i * 1e-6`: it only decides otherwise exact credit ties, and
+/// every pinned determinism fingerprint was taken with the pick order it
+/// produces.
 fn build_routes(control: &ControlPlan) -> Vec<Route> {
     control
         .routes
@@ -2150,33 +2136,14 @@ fn build_routes(control: &ControlPlan) -> Vec<Route> {
         .map(|targets| Route {
             targets: targets
                 .iter()
-                .map(|t| RouteTargetState {
+                .enumerate()
+                .map(|(i, t)| RouteTargetState {
                     backend: t.backend,
                     weight: t.weight,
-                    credit: 0.0,
+                    credit: -(i as f64) * 1e-6,
                 })
                 .collect(),
             total: targets.iter().map(|t| t.weight).sum(),
-        })
-        .collect()
-}
-
-/// One routing table per frontend replica; frontends start with offset
-/// credits so their round-robin positions interleave rather than march in
-/// lockstep.
-fn build_frontends(control: &ControlPlan, frontends: u32) -> Vec<Vec<Route>> {
-    (0..frontends.max(1))
-        .map(|fe| {
-            let mut routes = build_routes(control);
-            for r in &mut routes {
-                let n = r.targets.len();
-                if n > 1 {
-                    for (i, t) in r.targets.iter_mut().enumerate() {
-                        t.credit = -(((i + fe as usize) % n) as f64) * 1e-6;
-                    }
-                }
-            }
-            routes
         })
         .collect()
 }
@@ -2314,39 +2281,6 @@ mod tests {
             "bad={}",
             result.query_bad_rate
         );
-    }
-
-    #[test]
-    fn multiple_frontends_match_single_frontend_quality() {
-        let run = |frontends: u32| {
-            let classes = vec![TrafficClass::new(
-                apps::traffic(),
-                ArrivalKind::Uniform,
-                300.0,
-            )];
-            ClusterSim::new(
-                SimConfig {
-                    system: SystemConfig::nexus()
-                        .with_frontends(frontends)
-                        .with_static_allocation(),
-                    device: GPU_GTX1080TI,
-                    max_gpus: 12,
-                    seed: 4,
-                    horizon: Micros::from_secs(15),
-                    warmup: Micros::from_secs(4),
-                    trace_capacity: 0,
-                    faults: vec![],
-                },
-                classes,
-            )
-            .run()
-        };
-        let one = run(1);
-        let four = run(4);
-        assert!(one.query_bad_rate < 0.01, "1 fe: {}", one.query_bad_rate);
-        assert!(four.query_bad_rate < 0.01, "4 fe: {}", four.query_bad_rate);
-        // Same offered traffic; similar goodput.
-        assert!((one.query_goodput - four.query_goodput).abs() < 10.0);
     }
 
     /// A faulted run: 16 GPUs at a load Nexus handles cleanly, static

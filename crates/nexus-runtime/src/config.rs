@@ -43,11 +43,6 @@ pub struct SystemConfig {
     pub ladder: bool,
     /// CPU worker threads per GPU.
     pub cpu_workers: u32,
-    /// Frontend replicas (§5: "a distributed frontend that scales with
-    /// requests"). Each frontend routes its share of arrivals with
-    /// independent weighted-round-robin state; more frontends interleave
-    /// replica queues more realistically. 1 keeps routing perfectly smooth.
-    pub frontends: u32,
     /// Epoch length for the control loop; `Micros::MAX` disables
     /// re-scheduling after the initial allocation.
     pub epoch: Micros,
@@ -89,7 +84,6 @@ impl SystemConfig {
             ladder: true,
             cpu_workers: DEFAULT_CPU_WORKERS,
             epoch: Micros::from_secs(30),
-            frontends: 1,
             spread_factor: 4.0,
             interference: InterferenceModel::default(),
             heartbeat_interval: Micros::from_millis(100),
@@ -167,7 +161,6 @@ impl SystemConfig {
             ladder: false,
             cpu_workers: DEFAULT_CPU_WORKERS,
             epoch: Micros::from_secs(30),
-            frontends: 1,
             spread_factor: 4.0,
             interference: InterferenceModel::default(),
             heartbeat_interval: Micros::from_millis(100),
@@ -191,7 +184,6 @@ impl SystemConfig {
             ladder: false,
             cpu_workers: DEFAULT_CPU_WORKERS,
             epoch: Micros::from_secs(30),
-            frontends: 1,
             spread_factor: 4.0,
             interference: InterferenceModel::default(),
             heartbeat_interval: Micros::from_millis(100),
@@ -211,13 +203,6 @@ impl SystemConfig {
         }
     }
 
-    /// Sets the number of frontend replicas.
-    pub fn with_frontends(mut self, frontends: u32) -> Self {
-        assert!(frontends >= 1, "need at least one frontend");
-        self.frontends = frontends;
-        self
-    }
-
     /// Sets the spread factor (see [`SystemConfig::spread_factor`]).
     pub fn with_spread_factor(mut self, factor: f64) -> Self {
         assert!(factor >= 1.0, "spread factor must be at least 1");
@@ -234,22 +219,6 @@ impl SystemConfig {
     /// Sets the epoch length.
     pub fn with_epoch(mut self, epoch: Micros) -> Self {
         self.epoch = epoch;
-        self
-    }
-
-    /// Sets the failure-detection parameters: heartbeat poll interval and
-    /// the consecutive misses that declare a backend dead.
-    pub fn with_heartbeat(mut self, interval: Micros, misses: u32) -> Self {
-        assert!(
-            interval > Micros::ZERO,
-            "heartbeat interval must be positive"
-        );
-        assert!(
-            misses >= 1,
-            "need at least one missed beat to declare death"
-        );
-        self.heartbeat_interval = interval;
-        self.heartbeat_misses = misses;
         self
     }
 
@@ -307,15 +276,5 @@ mod tests {
     fn static_allocation_disables_epochs() {
         let c = SystemConfig::nexus().with_static_allocation();
         assert_eq!(c.epoch, Micros::MAX);
-    }
-
-    #[test]
-    fn heartbeat_parameters_are_tunable() {
-        let c = SystemConfig::nexus();
-        assert_eq!(c.heartbeat_interval, Micros::from_millis(100));
-        assert_eq!(c.heartbeat_misses, 3);
-        let c = c.with_heartbeat(Micros::from_millis(50), 5);
-        assert_eq!(c.heartbeat_interval, Micros::from_millis(50));
-        assert_eq!(c.heartbeat_misses, 5);
     }
 }
