@@ -101,6 +101,14 @@ echo "== hostile inputs: deep nesting and out-of-range workload values =="
 # under `timeout 20`).
 scripts/hostile_inputs.sh
 
+# ci-step: planner-oracles
+echo "== planner oracles: packer and split-DP differentials, 2048 cases each =="
+# The `#[ignore]`d long copies of the planner's oracle proptests: every
+# residue merge probe equals `try_merge`, and the packer's allocations and
+# the pooled split DP's splits equal their unoptimised references, at
+# benchmark scale. Release build; the tests take seconds.
+cargo test --release -q -p nexus-scheduler -- --ignored
+
 # ci-step: drift-check
 echo "== ci.sh <-> ci.yml drift check =="
 # Every gated step carries a `ci-step:` marker in both this script and the

@@ -535,17 +535,29 @@ pub fn optimize_hetero_split(
         let Some(first_k) = (1..=steps).find(|&k| own_at(k).iter().any(Option::is_some)) else {
             continue;
         };
+        // A window's dollar cost on candidate ci, and per window the first
+        // minimum over the candidates (INF if none fits): one multiply per
+        // (k, ci) here instead of per (t, k, ci) below.
+        let priced =
+            |k: usize, ci: usize| own_at(k)[ci].map(|own| own * stage.candidates[ci].price);
+        let cheapest: Vec<f64> = (0..=steps)
+            .map(|k| {
+                (0..stage.candidates.len())
+                    .filter_map(|ci| priced(k, ci))
+                    .fold(INF, |min, cost| if cost < min { cost } else { min })
+            })
+            .collect();
         // The root is solved at the full budget only and a leaf carries its
         // running minimum across budgets, as in `optimize_latency_split`.
         let root = u == 0;
         let leaf = !root && stage.children.is_empty();
         let first_t = if root { steps } else { first_k };
-        let (mut best, mut best_kc) = (INF, (0usize, 0usize));
+        let (mut best, mut best_k) = (INF, 0usize);
         for t in first_t..=steps {
             let from = if leaf {
                 t
             } else {
-                (best, best_kc) = (INF, (0, 0));
+                (best, best_k) = (INF, 0);
                 first_k
             };
             for k in from..=t {
@@ -553,19 +565,27 @@ pub fn optimize_hetero_split(
                 if kids.is_infinite() {
                     continue;
                 }
-                for (ci, (own, cand)) in own_at(k).iter().zip(&stage.candidates).enumerate() {
-                    let Some(own) = own else {
-                        continue;
-                    };
-                    let total = own * cand.price + kids;
-                    if total < best {
-                        best = total;
-                        best_kc = (k, ci);
-                    }
+                let total = cheapest[k] + kids;
+                if total < best {
+                    best = total;
+                    best_k = k;
                 }
             }
             f[u][t] = best;
-            choice[u][t] = best_kc;
+            // f64 addition rounds monotonically, so the least of a window's
+            // `cost + kids` is `cheapest + kids`: `best` is the minimum a scan
+            // over every (k, ci) finds, first reached at window `best_k`.
+            // Rounding can tie a dearer candidate with the cheapest, so the
+            // class that scan keeps is the first at `best_k` whose total
+            // equals `best`. (A leaf's `kids` are all 0, so a carried
+            // `best_k` recovers the class it was found with.)
+            if best < INF {
+                let kids = kids[t - best_k];
+                let ci = (0..stage.candidates.len())
+                    .find(|&ci| priced(best_k, ci).is_some_and(|cost| cost + kids == best))
+                    .expect("the cheapest candidate reaches the minimum");
+                choice[u][t] = (best_k, ci);
+            }
         }
     }
 
@@ -1163,8 +1183,10 @@ mod tests {
 
     /// Raw material for one random stage: which earlier stage is its
     /// parent, the edge's γ (one draw in four is 0 — a zero-rate subtree),
-    /// and 1–3 device-class candidates as `(α µs, β µs, max batch, price)`.
-    type RawStage = (usize, (u32, f64), Vec<(f64, f64, u32, f64)>);
+    /// 1–3 device-class candidates as `(α µs, β µs, max batch, price)`,
+    /// and a twin draw: 0 appends a copy of the first candidate, 1 gives
+    /// every candidate the first one's price, 2 and 3 leave them as drawn.
+    type RawStage = (usize, (u32, f64), Vec<(f64, f64, u32, f64)>, u32);
 
     fn arb_stages() -> impl Strategy<Value = Vec<RawStage>> {
         let candidate = (20.0f64..3_000.0, 100.0f64..80_000.0, 1u32..65, 0.2f64..4.0);
@@ -1173,6 +1195,7 @@ mod tests {
                 0usize..8,
                 (0u32..4, 0.05f64..3.0),
                 prop::collection::vec(candidate, 1..4),
+                0u32..4,
             ),
             1..6,
         )
@@ -1181,29 +1204,91 @@ mod tests {
     /// Builds the random tree: stage `i > 0` hangs off stage `pick % i`.
     fn hetero_tree(raw: &[RawStage]) -> HeteroQueryDag {
         let mut children: Vec<Vec<(usize, f64)>> = vec![Vec::new(); raw.len()];
-        for (i, (pick, (zero, gamma), _)) in raw.iter().enumerate().skip(1) {
+        for (i, (pick, (zero, gamma), _, _)) in raw.iter().enumerate().skip(1) {
             children[pick % i].push((i, if *zero == 0 { 0.0 } else { *gamma }));
         }
         HeteroQueryDag::new(
             raw.iter()
                 .zip(children)
                 .enumerate()
-                .map(|(i, ((_, _, cands), children))| HeteroQueryStage {
-                    name: format!("s{i}"),
-                    candidates: cands
-                        .iter()
-                        .map(|&(alpha, beta, max_batch, price)| {
-                            cand(
-                                BatchingProfile::from_linear_us(alpha, beta, max_batch),
-                                "class",
-                                price,
-                            )
-                        })
-                        .collect(),
-                    children,
+                .map(|(i, ((_, _, cands, twin), children))| {
+                    let mut cands = cands.clone();
+                    match twin {
+                        0 => cands.push(cands[0]),
+                        1 => {
+                            let price = cands[0].3;
+                            cands.iter_mut().for_each(|c| c.3 = price);
+                        }
+                        _ => {}
+                    }
+                    HeteroQueryStage {
+                        name: format!("s{i}"),
+                        candidates: cands
+                            .iter()
+                            .map(|&(alpha, beta, max_batch, price)| {
+                                cand(
+                                    BatchingProfile::from_linear_us(alpha, beta, max_batch),
+                                    "class",
+                                    price,
+                                )
+                            })
+                            .collect(),
+                        children,
+                    }
                 })
                 .collect(),
         )
+    }
+
+    /// Two root classes whose dollar costs differ by less than half an ulp
+    /// of the child's: both totals round to the same `f64`. The scan over
+    /// every (window, class) keeps the first to reach the minimum, class 0,
+    /// though class 1 is strictly cheaper on its own.
+    #[test]
+    fn hetero_rounded_tie_keeps_the_first_class() {
+        let dag = HeteroQueryDag::new(vec![
+            HeteroQueryStage {
+                name: "X".into(),
+                candidates: vec![cand(model_x(), "dear", 1.0), cand(model_x(), "cheap", 0.75)],
+                children: vec![(1, 1.0)],
+            },
+            HeteroQueryStage {
+                name: "Y".into(),
+                candidates: vec![cand(model_y(), "ruinous", 1e17)],
+                children: vec![],
+            },
+        ]);
+        let slo = Micros::from_millis(250);
+        let split = optimize_hetero_split(&dag, slo, 100.0, 50).unwrap();
+        let (root, kids) = (split.stage_gpus[0], split.stage_gpus[1] * 1e17);
+        assert!(root * 0.75 < root * 1.0);
+        assert_eq!(root * 0.75 + kids, root * 1.0 + kids, "the totals tie");
+        assert_eq!(split.classes, vec![0, 0]);
+        assert_eq!(
+            Some(split),
+            reference::optimize_hetero_split(&dag, slo, 100.0, 50)
+        );
+    }
+
+    /// Both DPs against their unhoisted references on one random tree.
+    fn dps_match_reference(
+        raw: &[RawStage],
+        slo_ms: u64,
+        root_rate: f64,
+        segments: u32,
+    ) -> Result<(), TestCaseError> {
+        let dag = hetero_tree(raw);
+        let slo = Micros::from_millis(slo_ms);
+        prop_assert_eq!(
+            optimize_hetero_split(&dag, slo, root_rate, segments),
+            reference::optimize_hetero_split(&dag, slo, root_rate, segments)
+        );
+        let single = first_candidate_tree(&dag);
+        prop_assert_eq!(
+            optimize_latency_split(&single, slo, root_rate, segments),
+            reference::optimize_latency_split(&single, slo, root_rate, segments)
+        );
+        Ok(())
     }
 
     /// The same tree with every stage on its first candidate.
@@ -1235,19 +1320,8 @@ mod tests {
             root_rate in 0.5f64..2_000.0,
             segments_idx in 0usize..4,
         ) {
-            let dag = hetero_tree(&raw);
-            let slo = Micros::from_millis(slo_ms);
             let root_rate = if rate_kind == 0 { 0.0 } else { root_rate };
-            let segments = [1u32, 7, 50, 120][segments_idx];
-            prop_assert_eq!(
-                optimize_hetero_split(&dag, slo, root_rate, segments),
-                reference::optimize_hetero_split(&dag, slo, root_rate, segments)
-            );
-            let single = first_candidate_tree(&dag);
-            prop_assert_eq!(
-                optimize_latency_split(&single, slo, root_rate, segments),
-                reference::optimize_latency_split(&single, slo, root_rate, segments)
-            );
+            dps_match_reference(&raw, slo_ms, root_rate, [1u32, 7, 50, 120][segments_idx])?;
         }
 
         /// The prefix-maximum table answers every window with the `f64`
@@ -1283,6 +1357,25 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `tabulated_dps_match_the_unhoisted_ones` at 2048 cases (CI's
+        /// `planner-oracles` step runs it in release).
+        #[test]
+        #[ignore = "2048 cases; run with --release -- --ignored"]
+        fn tabulated_dps_match_the_unhoisted_ones_2048(
+            raw in arb_stages(),
+            slo_ms in 2u64..900,
+            rate_kind in 0u32..5,
+            root_rate in 0.5f64..2_000.0,
+            segments_idx in 0usize..4,
+        ) {
+            let root_rate = if rate_kind == 0 { 0.0 } else { root_rate };
+            dps_match_reference(&raw, slo_ms, root_rate, [1u32, 7, 50, 120][segments_idx])?;
         }
     }
 }
