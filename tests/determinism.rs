@@ -16,6 +16,13 @@
 //! no output byte; like the golden trace, they change only with a
 //! deliberate behaviour change.
 //!
+//! Each of the three simulator fingerprints has a companion that hashes
+//! the same rendering with `events_processed` masked. An event-loop change
+//! that schedules fewer no-op events moves the raw hash but must leave the
+//! masked one alone unless it also moves a simulated outcome. The masked
+//! constants were computed at commit `c94eb56`, before coordinated wakes
+//! were armed from slot readiness (DESIGN.md §11).
+//!
 //! A fourth fingerprint covers the planner alone — allocations, budgets,
 //! routes and backend assignments at the benchmark's 280-class shape. Its
 //! constant was computed at commit `a625466`, before the epoch path's
@@ -50,6 +57,14 @@ fn assert_replays_to(fingerprint: impl Fn() -> String, pinned: u64) -> String {
     first
 }
 
+/// `run` with the number after `events_processed: ` replaced by `_`.
+fn events_masked(run: &str) -> String {
+    const KEY: &str = "events_processed: ";
+    let start = run.find(KEY).expect("SimResult renders events_processed") + KEY.len();
+    let digits = run[start..].bytes().take_while(u8::is_ascii_digit).count();
+    format!("{}_{}", &run[..start], &run[start + digits..])
+}
+
 /// A small Fig. 13 deployment run (all seven applications, surge included)
 /// through the public `run_once` entry point.
 fn fig13_fingerprint() -> String {
@@ -75,6 +90,14 @@ fn fig13_run_replays_to_the_pinned_fingerprint() {
     assert!(
         !run.contains("events_processed: 0,"),
         "run processed no events"
+    );
+}
+
+#[test]
+fn fig13_run_with_events_masked_replays_to_the_pinned_fingerprint() {
+    assert_replays_to(
+        || events_masked(&fig13_fingerprint()),
+        0x0530_e22e_32b1_ce29,
     );
 }
 
@@ -118,6 +141,14 @@ fn faulted_traced_fingerprint() -> String {
 fn faulted_traced_run_replays_to_the_pinned_fingerprint() {
     let run = assert_replays_to(faulted_traced_fingerprint, 0x9736_f33a_b59a_309f);
     assert!(run.contains("Batch {"), "run captured no trace events");
+}
+
+#[test]
+fn faulted_traced_run_with_events_masked_replays_to_the_pinned_fingerprint() {
+    assert_replays_to(
+        || events_masked(&faulted_traced_fingerprint()),
+        0xf96e_b591_45cb_530d,
+    );
 }
 
 /// Mixed-pool determinism: a heterogeneous fleet (1080Ti + K80 pools) with
@@ -177,6 +208,14 @@ fn mixed_pool_run_replays_to_the_pinned_fingerprint() {
     assert!(
         run.contains("PoolStats { pool: 1"),
         "second pool missing from pool_stats"
+    );
+}
+
+#[test]
+fn mixed_pool_run_with_events_masked_replays_to_the_pinned_fingerprint() {
+    assert_replays_to(
+        || events_masked(&mixed_pool_fingerprint()),
+        0x97af_a117_c39c_2bfd,
     );
 }
 
