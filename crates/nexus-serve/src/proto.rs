@@ -264,8 +264,9 @@ pub fn encode(msg: &Msg, buf: &mut Vec<u8>) {
         Msg::EpochRoute { session, backends } => {
             buf.push(TAG_EPOCH_ROUTE);
             buf.extend_from_slice(&session.to_le_bytes());
-            // The u16 replica count bounds the variable part well below
-            // MAX_FRAME.
+            // The u16 replica count allows 65 535 × 4 B ≈ 256 KiB, past
+            // MAX_FRAME: `write_frame` refuses a route over ~16 380
+            // replicas rather than send a frame every reader rejects.
             let n = u16::try_from(backends.len()).expect("replica set fits in u16");
             buf.extend_from_slice(&n.to_le_bytes());
             for b in backends {
@@ -378,12 +379,16 @@ pub fn decode(payload: &[u8]) -> Result<Msg, ProtoError> {
     Ok(msg)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame. A payload over [`MAX_FRAME`], which
+/// every [`read_frame`] would reject, is refused with
+/// [`ProtoError::FrameTooLarge`] before any byte is written.
 pub fn write_frame(w: &mut impl Write, msg: &Msg) -> Result<(), ProtoError> {
     let mut payload = Vec::with_capacity(32);
     encode(msg, &mut payload);
-    let len = u32::try_from(payload.len()).expect("payload fits u32");
-    debug_assert!(len <= MAX_FRAME);
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    if len > MAX_FRAME {
+        return Err(ProtoError::FrameTooLarge(len));
+    }
     w.write_all(&len.to_le_bytes())?;
     w.write_all(&payload)?;
     w.flush()?;
@@ -572,6 +577,29 @@ mod tests {
         assert_eq!(
             read_frame(&mut rd),
             Err(ProtoError::FrameTooLarge(MAX_FRAME + 1))
+        );
+    }
+
+    #[test]
+    fn oversized_routes_are_refused_before_any_byte_is_written() {
+        let route = |n: u32| Msg::EpochRoute {
+            session: 1,
+            backends: (0..n).collect(),
+        };
+        // 7 header bytes + 4 per replica: 16 382 replicas is the largest
+        // route that fits.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &route(16_382)).expect("fits MAX_FRAME");
+        assert_eq!(read_frame(&mut &wire[..]).expect("read"), route(16_382));
+        let mut wire = Vec::new();
+        assert_eq!(
+            write_frame(&mut wire, &route(16_384)),
+            Err(ProtoError::FrameTooLarge(7 + 4 * 16_384))
+        );
+        assert!(
+            wire.is_empty(),
+            "a refused frame wrote {} bytes",
+            wire.len()
         );
     }
 }
