@@ -36,14 +36,17 @@ else
 fi
 
 # ci-step: perf-smoke
-echo "== perf smoke: fig13_100gpu 5 s, replan_tenants 3 s =="
-# Runs the benchmark's deployment workload for five seconds. Exits
-# non-zero if any repetition panics or differs from the first in event
-# count or bad-rate bits (the harness's in-run determinism gate). Timing
-# is never gated — the runner is another machine, which is also why this
-# is not a `perf --compare` against a committed result file.
+echo "== perf smoke: fig13_100gpu 5 s, fig13_1kgpu 5 s, replan_tenants 3 s =="
+# Runs the benchmark's deployment workload for five seconds, on 100 GPUs
+# and on the 1 000-GPU fleet. Exits non-zero if any repetition panics or
+# differs from the first in event count or bad-rate bits (the harness's
+# in-run determinism gate). Timing is never gated — the runner is another
+# machine, which is also why this is not a `perf --compare` against a
+# committed result file.
 cargo run --release -q -p perf -- \
   --workload fig13_100gpu --seed 100 --seconds 5 --trace 0
+cargo run --release -q -p perf -- \
+  --workload fig13_1kgpu --seed 100 --seconds 5 --trace 0
 # The planner's turn: three seconds of re-plan epochs on both fleets.
 # Non-zero unless every plan succeeded, every session is placed xor listed
 # infeasible, and epoch 0 re-plans to the same GPUs and placement.

@@ -631,7 +631,23 @@ impl ClusterSim {
                 Event::HeartbeatCheck => self.on_heartbeat_check(now),
             }
         }
+        debug_assert_eq!(self.lost_wake(), None, "a backend holds work but no wake");
         self.summarize()
+    }
+
+    /// Lost-wake tripwire for the drained event loop: the first serving
+    /// backend that still queues requests or has a coordinated wake armed.
+    /// Either means a wake was never scheduled, and its requests wait
+    /// forever. A backend on a crashed slot that no heartbeat declared dead
+    /// before the run ended holds its queue by design: `summarize` counts
+    /// it as unserved.
+    fn lost_wake(&self) -> Option<usize> {
+        (0..self.backends.len()).find(|&bi| {
+            let b = &self.backends[bi];
+            (!self.fault_mode || self.slot_serving(bi))
+                && (b.slots.iter().any(|s| !s.queue.is_empty())
+                    || (self.cfg.system.coordinated && b.armed_wake != Micros::MAX))
+        })
     }
 
     /// Whether the physical slot under `backend` currently executes work.
@@ -730,7 +746,19 @@ impl ClusterSim {
         }
     }
 
-    /// Arms a wake for the backend (coordinated) or slot (uncoordinated).
+    /// Arms a wake for the backend (coordinated) or slot (uncoordinated)
+    /// after `slot`'s queue changed; `usize::MAX` means every slot did (a
+    /// new deployment, a fault ending).
+    ///
+    /// A coordinated backend is woken at the changed slot's ready time,
+    /// not now. The invariant that makes this enough: while the backend
+    /// is idle, `armed_wake` is its earliest pending live wake and no later
+    /// than any slot's [`ready_at`]. A slot's ready time moves only when
+    /// its queue does, i.e. at an arrival (armed here) or at a pull (after
+    /// which the serve scan re-arms from every slot), so the other slots
+    /// need no look. A busy backend has no wake armed (it launched from a
+    /// wake that had just cleared it, or from a completion) and arms
+    /// nothing: its last completion rescans every slot.
     fn arm(&mut self, now: Micros, backend: usize, slot: usize) {
         // `fault_mode` gate: with no faults configured every slot serves
         // forever, so the fleet-health lookup is a constant `true` — skip
@@ -741,12 +769,20 @@ impl ClusterSim {
             return;
         }
         let b = &self.backends[backend];
-        let t = now.max(b.available_at);
         if self.cfg.system.coordinated {
-            if !b.busy {
+            if b.busy {
+                return;
+            }
+            let ready = match b.slots.get(slot) {
+                Some(s) => ready_at(s, now),
+                None => b.slots.iter().filter_map(|s| ready_at(s, now)).min(),
+            };
+            if let Some(t) = ready {
+                let t = t.max(b.available_at);
                 self.arm_backend(t, backend);
             }
         } else if slot < b.slots.len() && !b.slots[slot].busy {
+            let t = now.max(b.available_at);
             self.push_wake(t, backend, slot as u32);
         }
     }
@@ -776,9 +812,14 @@ impl ClusterSim {
 
     fn on_wake(&mut self, now: Micros, backend: usize, slot: usize) {
         if self.cfg.system.coordinated {
-            // The armed wake has fired; clear it even if the slot is not
-            // serving right now, or a stalled backend could never re-arm
-            // (`arm` dedups on `armed_wake`).
+            // Only the armed wake serves. Any other was superseded by an
+            // earlier one that has already fired and rescanned.
+            if now != self.backends[backend].armed_wake {
+                return;
+            }
+            // Clear it even if the slot is not serving right now, or a
+            // stalled backend could never re-arm (`arm` dedups on
+            // `armed_wake`).
             self.backends[backend].armed_wake = Micros::MAX;
         }
         if self.fault_mode && !self.slot_serving(backend) {
@@ -1911,8 +1952,32 @@ impl ClusterSim {
     }
 }
 
-/// Latest time a slot can start its next batch without missing the oldest
-/// request's deadline.
+/// When an idle backend should serve `slot`, seen at `now`: `None` while
+/// it has nothing to serve, `Some(now)` if it pulls now, else the future
+/// time it becomes due. Its queue reaches the jittered target, or the
+/// oldest request has gathered for a duty cycle, or the latest safe start
+/// arrives, whichever is first. The one readiness rule: [`inspect_slot`]
+/// pulls on it and [`ClusterSim::arm`] wakes on it.
+fn ready_at(slot: &Slot, now: Micros) -> Option<Micros> {
+    if slot.queue.is_empty() || slot.busy {
+        return None;
+    }
+    let queued = slot.queue.len() as u32;
+    // Jittered readiness threshold (phase decorrelation).
+    let span = (slot.target_batch / 6).max(1);
+    let eff_target = slot.target_batch - (slot.jitter_state % u64::from(span)) as u32;
+    if queued >= eff_target {
+        return Some(now);
+    }
+    // Wait for batch-mates, but no longer than one duty cycle past the
+    // oldest arrival and never past the latest safe start.
+    let gather_until = slot
+        .queue
+        .oldest_arrival()
+        .map_or(Micros::MAX, |a| a + slot.gather_limit);
+    Some(forced_start(slot).min(gather_until).max(now))
+}
+
 /// Inspects one slot: readiness check and pull. A free function over split
 /// borrows (slot, scratch, pool) rather than a `&mut self` method, so the
 /// serve scans can hold their backend borrow across the whole slot loop —
@@ -1928,24 +1993,10 @@ fn inspect_slot(
     minibatches: &mut Vec<MiniBatch>,
     batch_pool: &mut Vec<Vec<Request>>,
 ) -> SlotDecision {
-    if slot.queue.is_empty() || slot.busy {
-        return SlotDecision::Skip;
-    }
-    let queued = slot.queue.len() as u32;
-    // Jittered readiness threshold (phase decorrelation).
-    let span = (slot.target_batch / 6).max(1);
-    let eff_target = slot.target_batch - (slot.jitter_state % u64::from(span)) as u32;
-    if queued < eff_target {
-        // Wait for batch-mates, but no longer than one duty cycle past
-        // the oldest arrival and never past the latest safe start.
-        let gather_until = slot
-            .queue
-            .oldest_arrival()
-            .map_or(Micros::MAX, |a| a + slot.gather_limit);
-        let f = forced_start(slot).min(gather_until);
-        if now < f {
-            return SlotDecision::NotReady(f);
-        }
+    match ready_at(slot, now) {
+        None => return SlotDecision::Skip,
+        Some(f) if f > now => return SlotDecision::NotReady(f),
+        Some(_) => {}
     }
     // The GPU scheduler executes the *planned* batch sizes (§6.3); an
     // infinite reserve pins the early-drop window to the plan. Bursty
@@ -2006,6 +2057,8 @@ fn inspect_slot(
     }
 }
 
+/// Latest time a slot can start its next batch without missing the oldest
+/// request's deadline.
 fn forced_start(slot: &Slot) -> Micros {
     // The dispatcher may serve the whole queue in one batch (bursts), so
     // the latest safe start accounts for that larger execution, using the
@@ -2669,5 +2722,106 @@ mod tests {
         // One rollup per pool, and at least one pool actually deployed.
         assert_eq!(r.pool_stats.len(), 2);
         assert!(r.pool_stats.iter().any(|p| p.backends > 0));
+    }
+
+    /// A slot with `reqs` queued as `(arrival, slack)` pairs in µs, built
+    /// the way [`build_backends`] builds a coordinated one.
+    fn slot_with(
+        reqs: &[(u64, u64)],
+        target: u32,
+        gather_us: u64,
+        reserve_us: u64,
+        jitter_state: u64,
+        busy: bool,
+    ) -> Slot {
+        let profile = nexus_profile::BatchingProfile::from_linear_ms(1.0, 8.0, 32);
+        let mut arrivals = reqs.to_vec();
+        arrivals.sort_by_key(|&(a, _)| a);
+        let mut queue = SessionQueue::new();
+        for (i, &(arrival, slack)) in arrivals.iter().enumerate() {
+            queue.push(Request {
+                id: RequestId(i as u64),
+                session: SessionId(0),
+                arrival: Micros::from_micros(arrival),
+                deadline: Micros::from_micros(arrival + slack),
+                query: None,
+            });
+        }
+        let exec: SharedProfile = profile.clone().into();
+        Slot {
+            session: SessionId(0),
+            target_batch: target,
+            gather_limit: Micros::from_micros(gather_us),
+            reserve: Micros::from_micros(reserve_us),
+            timing: exec.clone(),
+            profile: exec.clone(),
+            ladder: BatchLadder::from_profile(&profile).with_rung(target, &profile),
+            base: exec,
+            queue,
+            busy,
+            jitter_state,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// `ready_at` is the readiness rule `inspect_slot` acts on:
+        /// `Some(now)` exactly when the slot pulls, `Some(f)` with `f > now`
+        /// exactly when it answers `NotReady(f)`, `None` exactly when it
+        /// skips. A slot that is not pulled is left as it was, and seen
+        /// again at its ready time it pulls — so the wake `arm` schedules
+        /// there launches.
+        #[test]
+        fn ready_at_is_the_rule_inspect_slot_pulls_on(
+            reqs in proptest::prop::collection::vec((0u64..30_000, 1_000u64..300_000), 0..24),
+            target in 1u32..33,
+            gather_us in 0u64..200_000,
+            reserve_us in 0u64..30_000,
+            jitter_state in 0u64..u64::MAX,
+            since_last_us in 0u64..60_000,
+            busy in proptest::prop::bool::ANY,
+            ladder_on in proptest::prop::bool::ANY,
+            policy_idx in 0usize..4,
+        ) {
+            let policy = [
+                DropPolicy::None,
+                DropPolicy::Lazy,
+                DropPolicy::Early,
+                DropPolicy::Deprioritize,
+            ][policy_idx];
+            let mut slot = slot_with(&reqs, target, gather_us, reserve_us, jitter_state, busy);
+            // Seen some time after the newest arrival, as a wake would.
+            let last = reqs.iter().map(|&(a, _)| a).max().unwrap_or(0);
+            let now = Micros::from_micros(last + since_last_us);
+            let mut scratch = BatchPull::default();
+            let mut mbs = Vec::new();
+            let mut pool = Vec::new();
+            let mut inspect = |slot: &mut Slot, at: Micros| {
+                inspect_slot(slot, at, policy, ladder_on, &mut scratch, &mut mbs, &mut pool)
+            };
+            let ready = ready_at(&slot, now);
+            let queued = slot.queue.len();
+            match (ready, inspect(&mut slot, now)) {
+                (None, SlotDecision::Skip) => {}
+                (Some(t), SlotDecision::Pulled { .. }) => {
+                    proptest::prop_assert_eq!(t, now);
+                    proptest::prop_assert_ne!(slot.jitter_state, jitter_state);
+                }
+                (Some(t), SlotDecision::NotReady(f)) => {
+                    proptest::prop_assert!(t == f && f > now, "ready {t:?}, NotReady({f:?})");
+                    proptest::prop_assert_eq!(slot.queue.len(), queued);
+                    proptest::prop_assert_eq!(slot.jitter_state, jitter_state);
+                    proptest::prop_assert_eq!(ready_at(&slot, f), Some(f));
+                    proptest::prop_assert!(
+                        matches!(inspect(&mut slot, f), SlotDecision::Pulled { .. }),
+                        "a wake at the ready time {f:?} does not pull"
+                    );
+                }
+                (ready, _) => {
+                    proptest::prop_assert!(false, "ready_at {ready:?} disagrees with inspect_slot");
+                }
+            }
+        }
     }
 }

@@ -10,18 +10,18 @@
 //! wholesale (`SimResult` holds no hash-ordered container, so the string
 //! is process-stable). Each fingerprint is checked twice: two in-process
 //! runs must render identically, and the FNV-1a-64 of the rendering must
-//! equal a pinned constant. The constants were computed at commit
-//! `2e427fb`, before the parallel event loop was replaced by the plain
-//! calendar queue (DESIGN.md §14), and witness that the replacement moved
-//! no output byte; like the golden trace, they change only with a
-//! deliberate behaviour change.
+//! equal a pinned constant. Like the golden trace, the constants change
+//! only with a deliberate behaviour change. They were last re-pinned when
+//! coordinated wakes began to be armed from slot readiness (DESIGN.md
+//! §11), which removed no-op wake events and let two backends launching in
+//! the same microsecond swap order.
 //!
 //! Each of the three simulator fingerprints has a companion that hashes
 //! the same rendering with `events_processed` masked. An event-loop change
 //! that schedules fewer no-op events moves the raw hash but must leave the
 //! masked one alone unless it also moves a simulated outcome. The masked
-//! constants were computed at commit `c94eb56`, before coordinated wakes
-//! were armed from slot readiness (DESIGN.md §11).
+//! constants were first computed at commit `c94eb56`, before that change;
+//! the Fig. 13 one held across it.
 //!
 //! A fourth fingerprint covers the planner alone — allocations, budgets,
 //! routes and backend assignments at the benchmark's 280-class shape. Its
@@ -86,7 +86,7 @@ fn fig13_fingerprint() -> String {
 
 #[test]
 fn fig13_run_replays_to_the_pinned_fingerprint() {
-    let run = assert_replays_to(fig13_fingerprint, 0x6076_e63d_ef39_65db);
+    let run = assert_replays_to(fig13_fingerprint, 0x9da8_2af5_35e0_3438);
     assert!(
         !run.contains("events_processed: 0,"),
         "run processed no events"
@@ -139,7 +139,7 @@ fn faulted_traced_fingerprint() -> String {
 
 #[test]
 fn faulted_traced_run_replays_to_the_pinned_fingerprint() {
-    let run = assert_replays_to(faulted_traced_fingerprint, 0x9736_f33a_b59a_309f);
+    let run = assert_replays_to(faulted_traced_fingerprint, 0x1a8d_5b24_296e_86d5);
     assert!(run.contains("Batch {"), "run captured no trace events");
 }
 
@@ -147,7 +147,7 @@ fn faulted_traced_run_replays_to_the_pinned_fingerprint() {
 fn faulted_traced_run_with_events_masked_replays_to_the_pinned_fingerprint() {
     assert_replays_to(
         || events_masked(&faulted_traced_fingerprint()),
-        0xf96e_b591_45cb_530d,
+        0x45c9_72ef_b605_0e11,
     );
 }
 
@@ -201,7 +201,7 @@ fn mixed_pool_fingerprint() -> String {
 
 #[test]
 fn mixed_pool_run_replays_to_the_pinned_fingerprint() {
-    let run = assert_replays_to(mixed_pool_fingerprint, 0x9f8f_df24_f204_de81);
+    let run = assert_replays_to(mixed_pool_fingerprint, 0xab3f_0604_d116_8179);
     assert!(run.contains("Batch {"), "run captured no trace events");
     // Both pools must actually deploy backends, or the cross-pool paths
     // under test were never exercised.
@@ -215,7 +215,7 @@ fn mixed_pool_run_replays_to_the_pinned_fingerprint() {
 fn mixed_pool_run_with_events_masked_replays_to_the_pinned_fingerprint() {
     assert_replays_to(
         || events_masked(&mixed_pool_fingerprint()),
-        0x97af_a117_c39c_2bfd,
+        0x2014_fb37_be6e_9a7b,
     );
 }
 
