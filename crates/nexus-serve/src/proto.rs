@@ -265,7 +265,7 @@ pub fn encode(msg: &Msg, buf: &mut Vec<u8>) {
             buf.push(TAG_EPOCH_ROUTE);
             buf.extend_from_slice(&session.to_le_bytes());
             // The u16 replica count allows 65 535 × 4 B ≈ 256 KiB, past
-            // MAX_FRAME: `write_frame` refuses a route over ~16 380
+            // MAX_FRAME: `write_frame` refuses a route over 16 382
             // replicas rather than send a frame every reader rejects.
             let n = u16::try_from(backends.len()).expect("replica set fits in u16");
             buf.extend_from_slice(&n.to_le_bytes());
