@@ -60,6 +60,16 @@ echo "== goodput smoke: fig14 k=5 ladder point at 98% of committed baseline =="
 # throughput and fails if the bad rate exceeds the figure's own 1%
 # criterion — a fast tripwire for ladder planning/dispatch regressions.
 cargo run --release -q -p bench --bin goodput_smoke -- --quick
+# The smoke's baseline is the committed fig14.json, so the two single-GPU
+# figures that are still fresh must regenerate byte-for-byte at seed 42.
+tmp_figs="$(mktemp -d)"
+cargo run --release -q -p bench --bin fig14_multiplexing -- \
+  --seed 42 --out "$tmp_figs/fig14.json" >/dev/null
+cargo run --release -q -p bench --bin fig15_prefix -- \
+  --seed 42 --out "$tmp_figs/fig15.json" >/dev/null
+cmp "$tmp_figs/fig14.json" bench_results/fig14.json
+cmp "$tmp_figs/fig15.json" bench_results/fig15.json
+rm -rf "$tmp_figs"
 
 # ci-step: front-door
 echo "== front-door smoke + chaos: nexus-serve over localhost TCP =="

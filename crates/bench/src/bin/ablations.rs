@@ -10,10 +10,10 @@
 
 use std::time::Instant;
 
-use bench::{print_table, traffic_classes, write_json, Args};
+use bench::{node_config, print_table, traffic_classes, write_json, Args};
 use nexus::prelude::*;
 use nexus_profile::{BatchingProfile, Micros};
-use nexus_runtime::{simulate_node, NodeConfig, NodeSession};
+use nexus_runtime::NodeSession;
 use nexus_scheduler::{
     optimize_latency_split, squishy_bin_packing_with, MergeOrder, QueryDag, QueryStage,
 };
@@ -136,24 +136,14 @@ fn interference_delta(args: &Args) -> Vec<Vec<String>> {
                     arrival: ArrivalKind::Uniform,
                 })
                 .collect();
-            simulate_node(
-                &NodeConfig {
-                    coordinated,
-                    drop_policy: DropPolicy::Early,
-                    interference: InterferenceModel {
-                        per_peer_overhead: delta,
-                    },
-                    gpu_memory: 11 << 30,
-                    seed: args.seed,
-                    horizon: args.horizon(),
-                    warmup: args.warmup(),
-                    strict_batches: false,
-                    ladder: false,
-                    trace_capacity: 0,
-                },
-                &sessions,
-            )
-            .bad_rate
+            let mut cfg = node_config(args, coordinated, DropPolicy::Early, false);
+            cfg.system.interference = InterferenceModel {
+                per_peer_overhead: delta,
+            };
+            ClusterSim::try_new_node(cfg, &sessions)
+                .expect("a static single-GPU plan")
+                .run()
+                .query_bad_rate
         };
         nexus::max_rate_within(&args.search(2_000.0), probe)
     };
@@ -194,21 +184,11 @@ fn ladder_occupancy(args: &Args) -> Vec<Vec<String>> {
                 arrival: ArrivalKind::Uniform,
             })
             .collect();
-        let out = simulate_node(
-            &NodeConfig {
-                coordinated: true,
-                drop_policy: DropPolicy::Early,
-                interference: InterferenceModel::default(),
-                gpu_memory: 11 << 30,
-                seed: args.seed,
-                horizon: args.horizon(),
-                warmup: args.warmup(),
-                strict_batches: false,
-                ladder,
-                trace_capacity: 1 << 21,
-            },
-            &sessions,
-        );
+        let mut cfg = node_config(args, true, DropPolicy::Early, ladder);
+        cfg.trace_capacity = 1 << 21;
+        let out = ClusterSim::try_new_node(cfg, &sessions)
+            .expect("a static single-GPU plan")
+            .run();
         let warmup = args.warmup();
         let mut lat: Vec<u64> = out
             .trace
@@ -231,7 +211,7 @@ fn ladder_occupancy(args: &Args) -> Vec<Vec<String>> {
                 lat[((lat.len() - 1) as f64 * f) as usize] as f64 / 1_000.0
             }
         };
-        (out.bad_rate, out.goodput, q(0.5), q(0.99))
+        (out.query_bad_rate, out.query_goodput, q(0.5), q(0.99))
     };
     [10u32, 30, 50, 70, 80, 90, 95, 100]
         .iter()

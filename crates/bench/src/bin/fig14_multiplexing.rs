@@ -7,12 +7,11 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig14_multiplexing [--quick]`
 
-use bench::{print_table, write_json, Args};
+use bench::{node_config, print_table, write_json, Args};
 use nexus::prelude::*;
 use nexus_profile::catalog::INCEPTION3;
 use nexus_profile::Micros;
-use nexus_runtime::{simulate_node, NodeConfig, NodeSession};
-use nexus_simgpu::InterferenceModel;
+use nexus_runtime::NodeSession;
 
 /// The four systems at single-node granularity: (label, coordinated,
 /// policy, overlap, ladder).
@@ -45,22 +44,10 @@ fn max_goodput(
                 arrival: ArrivalKind::Uniform,
             })
             .collect();
-        simulate_node(
-            &NodeConfig {
-                coordinated,
-                drop_policy: policy,
-                interference: InterferenceModel::default(),
-                gpu_memory: 11 << 30,
-                seed: args.seed,
-                horizon: args.horizon(),
-                warmup: args.warmup(),
-                strict_batches: false,
-                ladder,
-                trace_capacity: 0,
-            },
-            &sessions,
-        )
-        .bad_rate
+        ClusterSim::try_new_node(node_config(args, coordinated, policy, ladder), &sessions)
+            .expect("a static single-GPU plan")
+            .run()
+            .query_bad_rate
     };
     // Single-GPU planner differences (e.g. ladder rotation vs static
     // batch fitting) are ~0.5% of absolute throughput — below the default

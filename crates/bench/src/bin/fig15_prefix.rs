@@ -7,31 +7,15 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig15_prefix [--quick]`
 
-use bench::{print_table, write_json, Args};
+use bench::{node_config, print_table, write_json, Args};
 use nexus::prelude::*;
 use nexus_model::{unshared_memory, PrefixPlan};
 use nexus_profile::catalog::RESNET50;
 use nexus_profile::Micros;
-use nexus_runtime::{simulate_node, NodeConfig, NodeSession};
-use nexus_simgpu::InterferenceModel;
+use nexus_runtime::NodeSession;
 use nexus_workload::ArrivalKind;
 
 const SLO: Micros = Micros::from_millis(100);
-
-fn node_cfg(args: &Args) -> NodeConfig {
-    NodeConfig {
-        coordinated: true,
-        drop_policy: DropPolicy::Early,
-        interference: InterferenceModel::default(),
-        gpu_memory: 11 << 30,
-        seed: args.seed,
-        horizon: args.horizon(),
-        warmup: args.warmup(),
-        strict_batches: true,
-        ladder: false,
-        trace_capacity: 0,
-    }
-}
 
 /// The experiment isolates GPU batching, so CPU pre/post-processing is
 /// zeroed on both arms (it would otherwise cap both at the CPU ceiling).
@@ -40,43 +24,51 @@ fn gpu_only(p: nexus_profile::BatchingProfile) -> nexus_profile::BatchingProfile
         .with_postprocess(Micros::ZERO)
 }
 
+/// `count` sessions of `profile` sharing `rate` on the coordinated GPU.
+fn sessions(profile: &nexus_profile::BatchingProfile, count: u32, rate: f64) -> Vec<NodeSession> {
+    (0..count)
+        .map(|_| NodeSession {
+            profile: profile.clone(),
+            slo: SLO,
+            rate: rate / f64::from(count),
+            arrival: ArrivalKind::Uniform,
+        })
+        .collect()
+}
+
+/// Max 99%-good throughput of `count` sessions of `profile`.
+fn throughput(profile: &nexus_profile::BatchingProfile, count: u32, args: &Args) -> f64 {
+    let cfg = node_config(args, true, DropPolicy::Early, false);
+    let probe = |rate: f64| {
+        ClusterSim::try_new_node(cfg.clone(), &sessions(profile, count, rate))
+            .expect("a static single-GPU plan")
+            .run()
+            .query_bad_rate
+    };
+    nexus::max_rate_within(&args.search(2_000.0), probe)
+}
+
 /// With prefix batching: one merged session serving all variants.
 fn throughput_with_pb(variants: u32, args: &Args) -> f64 {
     let schema = nexus_model::zoo::resnet50();
     let base = RESNET50.profile_1080ti();
     let plan = PrefixPlan::new(&schema, &base, schema.num_layers() - 1);
     let profile = gpu_only(plan.merged_profile(variants, base.max_batch())).effective(true, 4);
-    let probe = |rate: f64| {
-        simulate_node(
-            &node_cfg(args),
-            &[NodeSession {
-                profile: profile.clone(),
-                slo: SLO,
-                rate,
-                arrival: ArrivalKind::Uniform,
-            }],
-        )
-        .bad_rate
-    };
-    nexus::max_rate_within(&args.search(2_000.0), probe)
+    throughput(&profile, 1, args)
 }
 
 /// Without prefix batching: each variant is a fully-resident model and an
-/// independent session; memory limits how many even load.
-fn throughput_without_pb(variants: u32, args: &Args) -> f64 {
+/// independent session; memory limits how many even load. Returns the
+/// throughput and whether a variant was left unplaced (out of memory).
+fn throughput_without_pb(variants: u32, args: &Args) -> (f64, bool) {
     let base = gpu_only(RESNET50.profile_1080ti()).effective(true, 4);
-    let probe = |rate: f64| {
-        let sessions: Vec<NodeSession> = (0..variants)
-            .map(|_| NodeSession {
-                profile: base.clone(),
-                slo: SLO,
-                rate: rate / f64::from(variants),
-                arrival: ArrivalKind::Uniform,
-            })
-            .collect();
-        simulate_node(&node_cfg(args), &sessions).bad_rate
-    };
-    nexus::max_rate_within(&args.search(2_000.0), probe)
+    let sim = ClusterSim::try_new_node(
+        node_config(args, true, DropPolicy::Early, false),
+        &sessions(&base, variants, 1.0),
+    )
+    .expect("a static single-GPU plan");
+    let oom = !sim.control_plan().pools[0].allocation.infeasible.is_empty();
+    (throughput(&base, variants, args), oom)
 }
 
 fn main() {
@@ -88,11 +80,8 @@ fn main() {
         .into_iter()
         .map(|k| {
             let with = throughput_with_pb(k, &args);
-            let without = throughput_without_pb(k, &args);
+            let (without, oom) = throughput_without_pb(k, &args);
             series.push((k, with, without));
-            // A floor result means even trivial rates failed: the k-th
-            // variant no longer fits in GPU memory.
-            let oom = without < 5.0;
             vec![
                 k.to_string(),
                 if oom {

@@ -6,10 +6,9 @@
 //!
 //! Usage: `cargo run -p bench --bin fig5_lazy_drop [--secs N] [--quick]`
 
-use bench::{alpha_profile, print_table, write_json, Args};
+use bench::{alpha_profile, node_config, print_table, write_json, Args};
 use nexus_profile::Micros;
-use nexus_runtime::{simulate_node, DropPolicy, NodeConfig, NodeSession};
-use nexus_simgpu::InterferenceModel;
+use nexus_runtime::{ClusterSim, DropPolicy, NodeSession};
 use nexus_workload::ArrivalKind;
 
 fn bad_rate(alpha: f64, arrival: ArrivalKind, args: &Args) -> f64 {
@@ -19,22 +18,10 @@ fn bad_rate(alpha: f64, arrival: ArrivalKind, args: &Args) -> f64 {
         rate: 450.0, // 90% of the 500 req/s optimum
         arrival,
     };
-    simulate_node(
-        &NodeConfig {
-            coordinated: true,
-            drop_policy: DropPolicy::Lazy,
-            interference: InterferenceModel::default(),
-            gpu_memory: 11 << 30,
-            seed: args.seed,
-            horizon: args.horizon(),
-            warmup: args.warmup(),
-            strict_batches: false,
-            ladder: false,
-            trace_capacity: 0,
-        },
-        &[session],
-    )
-    .bad_rate
+    ClusterSim::try_new_node(node_config(args, true, DropPolicy::Lazy, false), &[session])
+        .expect("a static single-GPU plan")
+        .run()
+        .query_bad_rate
 }
 
 fn main() {

@@ -4,35 +4,23 @@
 //!
 //! Usage: `cargo run -p bench --bin fig9_early_drop [--secs N] [--quick]`
 
-use bench::{alpha_profile, print_table, write_json, Args};
+use bench::{alpha_profile, node_config, print_table, write_json, Args};
 use nexus::prelude::*;
 use nexus_profile::Micros;
-use nexus_runtime::{simulate_node, NodeConfig, NodeSession};
-use nexus_simgpu::InterferenceModel;
+use nexus_runtime::NodeSession;
 
 fn max_goodput(alpha: f64, policy: DropPolicy, args: &Args) -> f64 {
     let probe = |rate: f64| {
-        simulate_node(
-            &NodeConfig {
-                coordinated: true,
-                drop_policy: policy,
-                interference: InterferenceModel::default(),
-                gpu_memory: 11 << 30,
-                seed: args.seed,
-                horizon: args.horizon(),
-                warmup: args.warmup(),
-                strict_batches: false,
-                ladder: false,
-                trace_capacity: 0,
-            },
-            &[NodeSession {
-                profile: alpha_profile(alpha),
-                slo: Micros::from_millis(100),
-                rate,
-                arrival: ArrivalKind::Poisson,
-            }],
-        )
-        .bad_rate
+        let session = NodeSession {
+            profile: alpha_profile(alpha),
+            slo: Micros::from_millis(100),
+            rate,
+            arrival: ArrivalKind::Poisson,
+        };
+        ClusterSim::try_new_node(node_config(args, true, policy, false), &[session])
+            .expect("a static single-GPU plan")
+            .run()
+            .query_bad_rate
     };
     nexus::max_rate_within(&args.search(600.0), probe)
 }

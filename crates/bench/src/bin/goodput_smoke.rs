@@ -12,12 +12,11 @@
 //!
 //! Usage: `cargo run --release -p bench --bin goodput_smoke [--quick]`
 
-use bench::Args;
+use bench::{node_config, Args};
 use nexus::prelude::*;
 use nexus_profile::catalog::INCEPTION3;
 use nexus_profile::Micros;
-use nexus_runtime::{simulate_node, NodeConfig, NodeSession};
-use nexus_simgpu::InterferenceModel;
+use nexus_runtime::NodeSession;
 
 /// Nexus aggregate throughput at #models = 5 from the committed fig14
 /// panel (a), i.e. the baseline this smoke must stay within 2% of.
@@ -58,33 +57,22 @@ fn main() {
             arrival: ArrivalKind::Uniform,
         })
         .collect();
-    let outcome = simulate_node(
-        &NodeConfig {
-            coordinated: true,
-            drop_policy: DropPolicy::Early,
-            interference: InterferenceModel::default(),
-            gpu_memory: 11 << 30,
-            seed: args.seed,
-            horizon: args.horizon(),
-            warmup: args.warmup(),
-            strict_batches: false,
-            ladder: true,
-            trace_capacity: 0,
-        },
-        &sessions,
-    );
+    let outcome =
+        ClusterSim::try_new_node(node_config(&args, true, DropPolicy::Early, true), &sessions)
+            .expect("a static single-GPU plan")
+            .run();
     println!(
         "goodput smoke: committed baseline {baseline:.1} q/s, offered {offered:.1} q/s \
          -> goodput {:.1} q/s, bad rate {:.3}%",
-        outcome.goodput,
-        outcome.bad_rate * 100.0
+        outcome.query_goodput,
+        outcome.query_bad_rate * 100.0
     );
     // Same criterion as the fig14 throughput search: within 1% bad.
-    if outcome.bad_rate > 0.01 {
+    if outcome.query_bad_rate > 0.01 {
         eprintln!(
             "FAIL: bad rate {:.3}% > 1% at 98% of the committed fig14 #models=5 \
              baseline — ladder serving lost throughput",
-            outcome.bad_rate * 100.0
+            outcome.query_bad_rate * 100.0
         );
         std::process::exit(1);
     }

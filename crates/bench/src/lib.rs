@@ -246,6 +246,33 @@ pub fn ablation_ladder(qa_instead_of_pb: bool) -> Vec<(&'static str, SystemConfi
     ladder
 }
 
+/// The single-GPU studies' setup (Figs. 5, 9, 14, 15): one GTX 1080 Ti at
+/// this run's seed and horizon, statically allocated — an operator-given
+/// plan is never re-planned — in the given execution mode, dispatch policy
+/// and ladder setting.
+pub fn node_config(
+    args: &Args,
+    coordinated: bool,
+    drop_policy: DropPolicy,
+    ladder: bool,
+) -> SimConfig {
+    SimConfig {
+        system: SystemConfig {
+            coordinated,
+            drop_policy,
+            ladder,
+            ..SystemConfig::nexus().with_static_allocation()
+        },
+        device: GPU_GTX1080TI,
+        max_gpus: 1,
+        seed: args.seed,
+        horizon: args.horizon(),
+        warmup: args.warmup(),
+        trace_capacity: 0,
+        faults: vec![],
+    }
+}
+
 /// A Fig.5/Fig.9 synthetic profile: optimal throughput 500 req/s at a
 /// 100 ms SLO, parameterized by α (§4.3: "Given the fixed throughput, the
 /// fixed cost of β reduces as we increase α").

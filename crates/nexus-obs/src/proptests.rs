@@ -6,10 +6,12 @@
 
 use proptest::prelude::*;
 
-use nexus_profile::Micros;
-use nexus_runtime::{simulate_node, DropCause, DropPolicy, NodeConfig, NodeSession, TraceEvent};
+use nexus_profile::{Micros, GPU_GTX1080TI};
+use nexus_runtime::{
+    ClusterSim, DropCause, DropPolicy, NodeSession, SimConfig, SystemConfig, TraceEvent,
+};
 use nexus_scheduler::SessionId;
-use nexus_simgpu::{FaultKind, InterferenceModel};
+use nexus_simgpu::FaultKind;
 use nexus_workload::ArrivalKind;
 
 use crate::phases::reconstruct;
@@ -161,26 +163,27 @@ proptest! {
         rate in 50.0f64..1_500.0,
         slo_ms in 40u64..200,
     ) {
-        let out = simulate_node(
-            &NodeConfig {
-                coordinated: true,
+        let cfg = SimConfig {
+            system: SystemConfig {
                 drop_policy: DropPolicy::Early,
-                interference: InterferenceModel::default(),
-                gpu_memory: 11 << 30,
-                seed,
-                horizon: Micros::from_secs(3),
-                warmup: Micros::from_secs(1),
-                strict_batches: false,
                 ladder: false,
-                trace_capacity: 1 << 20,
+                ..SystemConfig::nexus().with_static_allocation()
             },
-            &[NodeSession {
-                profile: nexus_profile::BatchingProfile::from_linear_ms(1.0, 10.0, 32),
-                slo: Micros::from_millis(slo_ms),
-                rate,
-                arrival: ArrivalKind::Poisson,
-            }],
-        );
+            device: GPU_GTX1080TI,
+            max_gpus: 1,
+            seed,
+            horizon: Micros::from_secs(3),
+            warmup: Micros::from_secs(1),
+            trace_capacity: 1 << 20,
+            faults: vec![],
+        };
+        let session = NodeSession {
+            profile: nexus_profile::BatchingProfile::from_linear_ms(1.0, 10.0, 32),
+            slo: Micros::from_millis(slo_ms),
+            rate,
+            arrival: ArrivalKind::Poisson,
+        };
+        let out = ClusterSim::try_new_node(cfg, &[session]).expect("a static plan").run();
         let trace = out.trace.expect("tracing enabled");
         prop_assert_eq!(trace.truncated, 0);
         let ph = reconstruct(trace.events());

@@ -34,6 +34,9 @@ use crate::metrics::ClusterMetrics;
 use crate::request::{QueryId, QueryTracker, Request, RequestId, RequestOutcome};
 use crate::trace::{DropCause, Trace, TraceEvent};
 
+mod node;
+pub use node::NodeSession;
+
 /// Cluster simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -223,6 +226,11 @@ struct Slot {
     /// drift out of phase instead of emitting synchronized downstream
     /// bursts (deterministic SplitMix64 stream).
     jitter_state: u64,
+    /// Cyclic batch assignments of an operator-given rotating plan
+    /// (DESIGN.md §16), current step first: each launched batch rotates
+    /// the next step into `target_batch`. Empty for a squishy plan, whose
+    /// one batch never changes.
+    rotation: Box<[u32]>,
 }
 
 struct Backend {
@@ -455,16 +463,6 @@ impl ClusterSim {
         classes: Vec<TrafficClass>,
         pools: Vec<DevicePool>,
     ) -> Result<Self, PlanError> {
-        // Every entry point converges here, so the builder, `run_once` and
-        // `SimConfig` literals are all covered: an empty measurement
-        // window would otherwise summarize to all zeros without a word.
-        assert!(
-            cfg.warmup < cfg.horizon,
-            "warm-up ({}) must end before the horizon ({}): no query could \
-             arrive in the measured window",
-            cfg.warmup,
-            cfg.horizon
-        );
         for f in &cfg.faults {
             if f.slot >= cfg.max_gpus as usize {
                 return Err(PlanError::FaultSlot {
@@ -486,6 +484,28 @@ impl ClusterSim {
             let avail: Vec<u32> = pools.iter().map(|p| p.gpus).collect();
             plan_pooled(&classes, &cfg.system, &pools, &avail, Some(&est_rates))?
         };
+        Ok(ClusterSim::deploy(cfg, classes, control, pools))
+    }
+
+    /// Deploys a planned `control` for `classes`: backends, routes and the
+    /// seeded event queue. Every constructor ends here.
+    fn deploy(
+        cfg: SimConfig,
+        classes: Vec<TrafficClass>,
+        control: ControlPlan,
+        pools: Vec<DevicePool>,
+    ) -> Self {
+        // Every entry point converges here, so the builder, `run_once` and
+        // `SimConfig` literals are all covered: an empty measurement
+        // window would otherwise summarize to all zeros without a word.
+        assert!(
+            cfg.warmup < cfg.horizon,
+            "warm-up ({}) must end before the horizon ({}): no query could \
+             arrive in the measured window",
+            cfg.warmup,
+            cfg.horizon
+        );
+        let est_rates: Vec<f64> = classes.iter().map(|c| c.rate).collect();
         let (pool_bases, pool_sizes) = if pools.is_empty() {
             (vec![0], vec![cfg.max_gpus as usize])
         } else {
@@ -561,7 +581,7 @@ impl ClusterSim {
             .collect();
         let fault_mode = !cfg.faults.is_empty();
         let max_gpus = cfg.max_gpus as usize;
-        Ok(ClusterSim {
+        ClusterSim {
             cfg,
             classes,
             control,
@@ -605,7 +625,7 @@ impl ClusterSim {
             batch_pool: Vec::new(),
             retired_busy: 0,
             events_processed: 0,
-        })
+        }
     }
 
     /// The initial control plan (for inspection in tests/benches).
@@ -2031,6 +2051,11 @@ fn inspect_slot(
             scratch,
         );
     }
+    if !scratch.batch.is_empty() && !slot.rotation.is_empty() {
+        // Every non-empty pull launches: advance the rotation.
+        slot.rotation.rotate_left(1);
+        slot.target_batch = slot.rotation[0];
+    }
     let duration = if scratch.batch.is_empty() {
         Micros::ZERO
     } else if ladder_on {
@@ -2157,6 +2182,7 @@ fn build_backends(control: &ControlPlan, system: &SystemConfig) -> Vec<Backend> 
                         queue: SessionQueue::new(),
                         busy: false,
                         jitter_state: (bi as u64) << 32 | e.session.0 as u64,
+                        rotation: Box::default(),
                     }
                 })
                 .collect();
@@ -2760,7 +2786,45 @@ mod tests {
             queue,
             busy,
             jitter_state,
+            rotation: Box::default(),
         }
+    }
+
+    #[test]
+    fn a_rotating_slot_advances_only_on_launched_batches() {
+        let mut scratch = BatchPull::default();
+        let (mut mbs, mut pool) = (Vec::new(), Vec::new());
+        let mut inspect = |slot: &mut Slot, at: u64| {
+            let at = Micros::from_micros(at);
+            match inspect_slot(
+                slot,
+                at,
+                DropPolicy::Early,
+                false,
+                &mut scratch,
+                &mut mbs,
+                &mut pool,
+            ) {
+                SlotDecision::Pulled { batch, .. } => Some(batch.len()),
+                _ => None,
+            }
+        };
+        // Five requests with a second of slack: the slot pulls its step,
+        // 3, then 1, then waits for a third request to fill the next 3.
+        let mut slot = slot_with(&[(0, 1_000_000); 5], 3, 1_000_000, 0, 0, false);
+        slot.rotation = vec![3, 1].into();
+        assert_eq!(inspect(&mut slot, 10), Some(3));
+        assert_eq!(slot.target_batch, 1);
+        assert_eq!(inspect(&mut slot, 10), Some(1));
+        assert_eq!(slot.target_batch, 3);
+        assert_eq!(inspect(&mut slot, 10), None);
+        assert_eq!(slot.target_batch, 3);
+        // A pull that only drops expired requests launches nothing, so the
+        // rotation stays put.
+        let mut slot = slot_with(&[(0, 1_000)], 2, 1_000_000, 0, 0, false);
+        slot.rotation = vec![2, 1].into();
+        assert_eq!(inspect(&mut slot, 5_000), Some(0));
+        assert_eq!((slot.target_batch, &slot.rotation[..]), (2, &[2, 1][..]));
     }
 
     proptest::proptest! {

@@ -50,6 +50,12 @@ pub enum PlanError {
         /// Fleet size the deployment was configured with.
         max_gpus: u32,
     },
+    /// An operator-given plan is never re-planned, but the configuration
+    /// asks for what would re-plan it.
+    FixedPlan {
+        /// The re-planning setting: `"system.epoch"` or `"faults"`.
+        setting: &'static str,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -67,6 +73,10 @@ impl std::fmt::Display for PlanError {
                 f,
                 "fault targets GPU slot {slot}, but the deployment has only \
                  {max_gpus} slots"
+            ),
+            PlanError::FixedPlan { setting } => write!(
+                f,
+                "an operator-given plan is never re-planned, but `{setting}` is set"
             ),
         }
     }
@@ -834,7 +844,7 @@ fn cap_allocation(allocation: &mut Allocation, max_gpus: u32) {
 
 /// Builds the per-session routing table over cluster-global backend
 /// indices from the per-pool plans.
-fn build_route_table(nsessions: usize, pools: &[PoolPlan]) -> Vec<Vec<RouteTarget>> {
+pub(crate) fn build_route_table(nsessions: usize, pools: &[PoolPlan]) -> Vec<Vec<RouteTarget>> {
     let mut routes: Vec<Vec<RouteTarget>> = vec![Vec::new(); nsessions];
     for pp in pools {
         for (li, p) in pp.allocation.plans.iter().enumerate() {

@@ -10,13 +10,12 @@ pub mod dispatch;
 pub mod histogram;
 pub mod metrics;
 pub mod request;
-pub mod singlenode;
 pub mod trace;
 
 #[cfg(test)]
 mod proptests;
 
-pub use cluster::{ClusterSim, GpuOccupancy, PoolStats, SimConfig, SimResult};
+pub use cluster::{ClusterSim, GpuOccupancy, NodeSession, PoolStats, SimConfig, SimResult};
 pub use config::{SchedulerPolicy, SystemConfig};
 pub use control::{
     build_sessions, plan, plan_pooled, ControlPlan, DevicePool, PlanError, PoolPlan, RouteTarget,
@@ -27,7 +26,4 @@ pub use histogram::LatencyHistogram;
 pub use metrics::{ClusterMetrics, FailureRecord, SessionMetrics, TimelineBucket};
 pub use nexus_simgpu::{FaultKind, FaultSchedule, FaultSpec};
 pub use request::{FinishedQuery, QueryId, QueryTracker, Request, RequestId, RequestOutcome};
-pub use singlenode::{
-    fit_shared_batches, simulate_node, NodeConfig, NodeOutcome, NodeSession, NodeSessionStats,
-};
 pub use trace::{DropCause, Trace, TraceEvent};

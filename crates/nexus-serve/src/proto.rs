@@ -266,7 +266,8 @@ pub fn encode(msg: &Msg, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&session.to_le_bytes());
             // The u16 replica count allows 65 535 × 4 B ≈ 256 KiB, past
             // MAX_FRAME: `write_frame` refuses a route over 16 382
-            // replicas rather than send a frame every reader rejects.
+            // replicas, before encoding, rather than send a frame every
+            // reader rejects.
             let n = u16::try_from(backends.len()).expect("replica set fits in u16");
             buf.extend_from_slice(&n.to_le_bytes());
             for b in backends {
@@ -383,6 +384,16 @@ pub fn decode(payload: &[u8]) -> Result<Msg, ProtoError> {
 /// every [`read_frame`] would reject, is refused with
 /// [`ProtoError::FrameTooLarge`] before any byte is written.
 pub fn write_frame(w: &mut impl Write, msg: &Msg) -> Result<(), ProtoError> {
+    // A route's size (tag, session, u16 count, 4 B per replica) is known
+    // before `encode`, which cannot count past 65 535 replicas.
+    if let Msg::EpochRoute { backends, .. } = msg {
+        let len = 7 + 4 * backends.len() as u64;
+        if len > u64::from(MAX_FRAME) {
+            return Err(ProtoError::FrameTooLarge(
+                u32::try_from(len).unwrap_or(u32::MAX),
+            ));
+        }
+    }
     let mut payload = Vec::with_capacity(32);
     encode(msg, &mut payload);
     let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
@@ -591,15 +602,18 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, &route(16_382)).expect("fits MAX_FRAME");
         assert_eq!(read_frame(&mut &wire[..]).expect("read"), route(16_382));
-        let mut wire = Vec::new();
-        assert_eq!(
-            write_frame(&mut wire, &route(16_384)),
-            Err(ProtoError::FrameTooLarge(7 + 4 * 16_384))
-        );
-        assert!(
-            wire.is_empty(),
-            "a refused frame wrote {} bytes",
-            wire.len()
-        );
+        // Past the u16 replica count too: refused, not a panic in `encode`.
+        for n in [16_384, 65_536] {
+            let mut wire = Vec::new();
+            assert_eq!(
+                write_frame(&mut wire, &route(n)),
+                Err(ProtoError::FrameTooLarge(7 + 4 * n))
+            );
+            assert!(
+                wire.is_empty(),
+                "a refused frame wrote {} bytes",
+                wire.len()
+            );
+        }
     }
 }

@@ -16,12 +16,14 @@
 //! §11), which removed no-op wake events and let two backends launching in
 //! the same microsecond swap order.
 //!
-//! Each of the three simulator fingerprints has a companion that hashes
+//! Each of the four simulator fingerprints has a companion that hashes
 //! the same rendering with `events_processed` masked. An event-loop change
 //! that schedules fewer no-op events moves the raw hash but must leave the
 //! masked one alone unless it also moves a simulated outcome. The masked
 //! constants were first computed at commit `c94eb56`, before that change;
-//! the Fig. 13 one held across it.
+//! the Fig. 13 one held across it. The fourth, a single-GPU run under an
+//! operator-given rotating plan, was pinned when the single-GPU studies
+//! moved onto `ClusterSim` (DESIGN.md §16).
 //!
 //! A fourth fingerprint covers the planner alone — allocations, budgets,
 //! routes and backend assignments at the benchmark's 280-class shape. Its
@@ -31,7 +33,7 @@
 
 use nexus::prelude::*;
 use nexus_profile::GPU_V100;
-use nexus_runtime::{plan_pooled, FaultKind, FaultSpec, SimConfig};
+use nexus_runtime::{plan_pooled, FaultKind, FaultSpec, NodeSession, SimConfig};
 use nexus_scheduler::{assign_plans, GpuPlan};
 use nexus_workload::{all_apps, apps};
 
@@ -217,6 +219,50 @@ fn mixed_pool_run_with_events_masked_replays_to_the_pinned_fingerprint() {
         || events_masked(&mixed_pool_fingerprint()),
         0x2014_fb37_be6e_9a7b,
     );
+}
+
+/// One GPU under an operator-given plan, traced: the Fig. 14 k = 5 point
+/// (five Inception copies, 100 ms SLO) near its committed capacity, with
+/// ladders on, so every slot rotates its batch assignments.
+fn node_fingerprint() -> String {
+    let profile = nexus_profile::catalog::INCEPTION3
+        .profile_1080ti()
+        .effective(true, 4);
+    let sessions: Vec<NodeSession> = (0..5)
+        .map(|_| NodeSession {
+            profile: profile.clone(),
+            slo: Micros::from_millis(100),
+            rate: 112.0,
+            arrival: ArrivalKind::Uniform,
+        })
+        .collect();
+    let result = ClusterSim::try_new_node(
+        SimConfig {
+            system: SystemConfig::nexus().with_static_allocation(),
+            device: GPU_GTX1080TI,
+            max_gpus: 1,
+            seed: 42,
+            horizon: Micros::from_secs(4),
+            warmup: Micros::from_secs(1),
+            trace_capacity: 200_000,
+            faults: vec![],
+        },
+        &sessions,
+    )
+    .expect("a static single-GPU plan")
+    .run();
+    format!("{result:?}")
+}
+
+#[test]
+fn node_run_replays_to_the_pinned_fingerprint() {
+    let run = assert_replays_to(node_fingerprint, 0x618a_8726_0e14_d9cb);
+    assert!(run.contains("Batch {"), "run captured no trace events");
+}
+
+#[test]
+fn node_run_with_events_masked_replays_to_the_pinned_fingerprint() {
+    assert_replays_to(|| events_masked(&node_fingerprint()), 0xae4d_df6f_5397_e903);
 }
 
 /// The planner alone, at the benchmark's `replan_tenants` shape: 40 tenants

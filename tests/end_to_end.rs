@@ -149,10 +149,10 @@ fn all_apps_serve_cleanly_at_light_load() {
 }
 
 /// The throughput-search driver reproduces the qualitative early-vs-lazy
-/// dispatch result (Fig. 9) through the single-node simulator.
+/// dispatch result (Fig. 9) on a single-GPU plan.
 #[test]
 fn early_drop_beats_lazy_in_max_goodput() {
-    use nexus_runtime::{simulate_node, NodeConfig, NodeSession};
+    use nexus_runtime::NodeSession;
     let measure = |policy: DropPolicy| {
         nexus::max_rate_within(
             &ThroughputSearch {
@@ -162,27 +162,30 @@ fn early_drop_beats_lazy_in_max_goodput() {
                 iters: 8,
             },
             |rate| {
-                simulate_node(
-                    &NodeConfig {
-                        coordinated: true,
+                let cfg = SimConfig {
+                    system: SystemConfig {
                         drop_policy: policy,
-                        interference: Default::default(),
-                        gpu_memory: 11 << 30,
-                        seed: 2,
-                        horizon: Micros::from_secs(15),
-                        warmup: Micros::from_secs(3),
-                        strict_batches: false,
                         ladder: false,
-                        trace_capacity: 0,
+                        ..SystemConfig::nexus().with_static_allocation()
                     },
-                    &[NodeSession {
-                        profile: nexus_profile::BatchingProfile::from_linear_ms(1.0, 25.0, 32),
-                        slo: Micros::from_millis(100),
-                        rate,
-                        arrival: ArrivalKind::Poisson,
-                    }],
-                )
-                .bad_rate
+                    device: GPU_GTX1080TI,
+                    max_gpus: 1,
+                    seed: 2,
+                    horizon: Micros::from_secs(15),
+                    warmup: Micros::from_secs(3),
+                    trace_capacity: 0,
+                    faults: vec![],
+                };
+                let session = NodeSession {
+                    profile: nexus_profile::BatchingProfile::from_linear_ms(1.0, 25.0, 32),
+                    slo: Micros::from_millis(100),
+                    rate,
+                    arrival: ArrivalKind::Poisson,
+                };
+                ClusterSim::try_new_node(cfg, &[session])
+                    .expect("a static plan")
+                    .run()
+                    .query_bad_rate
             },
         )
     };
