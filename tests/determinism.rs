@@ -16,16 +16,21 @@
 //! §11), which removed no-op wake events and let two backends launching in
 //! the same microsecond swap order.
 //!
-//! Each of the four simulator fingerprints has a companion that hashes
+//! Each of the six simulator fingerprints has a companion that hashes
 //! the same rendering with `events_processed` masked. An event-loop change
 //! that schedules fewer no-op events moves the raw hash but must leave the
 //! masked one alone unless it also moves a simulated outcome. The masked
 //! constants were first computed at commit `c94eb56`, before that change;
 //! the Fig. 13 one held across it. The fourth, a single-GPU run under an
 //! operator-given rotating plan, was pinned when the single-GPU studies
-//! moved onto `ClusterSim` (DESIGN.md §16).
+//! moved onto `ClusterSim` (DESIGN.md §16). The first four all run Nexus
+//! itself: coordinated backends with ladders on. The last two pin the
+//! other two execution paths, Clipper's interfering containers and TF
+//! Serving's coordinated classic batches, each under a straggler; they
+//! were computed at commit `55c0505`, before the three launch paths became
+//! one (DESIGN.md §11).
 //!
-//! A fourth fingerprint covers the planner alone — allocations, budgets,
+//! One more fingerprint covers the planner alone — allocations, budgets,
 //! routes and backend assignments at the benchmark's 280-class shape. Its
 //! constant was computed at commit `a625466`, before the epoch path's
 //! quadratic loops were rewritten (DESIGN.md §18), and is the byte-identity
@@ -263,6 +268,78 @@ fn node_run_replays_to_the_pinned_fingerprint() {
 #[test]
 fn node_run_with_events_masked_replays_to_the_pinned_fingerprint() {
     assert_replays_to(|| events_masked(&node_fingerprint()), 0xae4d_df6f_5397_e903);
+}
+
+/// A traced baseline run under `system` with a straggler: the multi-stage
+/// `traffic` and `game` apps on six K80s, and slot 0 slowed 2× from 3 s to
+/// 6 s, so child spawns, the batch durations and their straggler scaling
+/// all reach the rendering.
+fn baseline_fingerprint(system: SystemConfig) -> String {
+    let result = ClusterSim::new(
+        SimConfig {
+            system: system.with_epoch(Micros::from_secs(2)),
+            device: GPU_GTX1080TI,
+            max_gpus: 6,
+            seed: 23,
+            horizon: Micros::from_secs(8),
+            warmup: Micros::from_secs(2),
+            trace_capacity: 200_000,
+            faults: vec![FaultSpec {
+                at: Micros::from_secs(3),
+                slot: 0,
+                kind: FaultKind::Slowdown {
+                    factor: 2.0,
+                    duration: Micros::from_secs(3),
+                },
+            }],
+        },
+        vec![
+            TrafficClass::new(apps::traffic(), ArrivalKind::Poisson, 60.0),
+            TrafficClass::new(apps::game(), ArrivalKind::Uniform, 100.0),
+        ],
+    )
+    .run();
+    format!("{result:?}")
+}
+
+/// Clipper: uncoordinated containers with interference, lazy drop and
+/// classic (ladder-off) batches.
+fn clipper_fingerprint() -> String {
+    baseline_fingerprint(SystemConfig::clipper())
+}
+
+/// TF Serving: a coordinated backend running classic batches with no
+/// dropping at all.
+fn tf_serving_fingerprint() -> String {
+    baseline_fingerprint(SystemConfig::tf_serving())
+}
+
+#[test]
+fn clipper_run_replays_to_the_pinned_fingerprint() {
+    let run = assert_replays_to(clipper_fingerprint, 0x6d5a_02db_3e1f_0e5e);
+    assert!(run.contains("Batch {"), "run captured no trace events");
+}
+
+#[test]
+fn clipper_run_with_events_masked_replays_to_the_pinned_fingerprint() {
+    assert_replays_to(
+        || events_masked(&clipper_fingerprint()),
+        0x0877_db5c_4cde_d49f,
+    );
+}
+
+#[test]
+fn tf_serving_run_replays_to_the_pinned_fingerprint() {
+    let run = assert_replays_to(tf_serving_fingerprint, 0xf0e2_5ec5_ec52_0fb2);
+    assert!(run.contains("Batch {"), "run captured no trace events");
+}
+
+#[test]
+fn tf_serving_run_with_events_masked_replays_to_the_pinned_fingerprint() {
+    assert_replays_to(
+        || events_masked(&tf_serving_fingerprint()),
+        0x24d4_8e66_ad02_9cde,
+    );
 }
 
 /// The planner alone, at the benchmark's `replan_tenants` shape: 40 tenants
