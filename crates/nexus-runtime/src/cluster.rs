@@ -187,8 +187,8 @@ struct BatchJob {
     /// Trace batch id ([`Trace::alloc_batch_seq`]); 0 when tracing is off.
     seq: u64,
     /// Whether this completion releases the backend (coordinated) or slot.
-    /// Ladder execution parks one job per minibatch of a slot's rung
-    /// sequence; only the final one frees the GPU for the next round.
+    /// A batch parks one job per part of its sequence; only the final one
+    /// frees the GPU for the next round.
     last: bool,
 }
 
@@ -208,13 +208,11 @@ struct Slot {
     /// waits until the last safe moment computed from its solo latency is
     /// late whenever a peer happens to be concurrent.
     timing: SharedProfile,
-    /// Profile used for pull sizing and wake planning. Under uncoordinated
-    /// execution this is pessimistically stretched by the worst-case
-    /// interference (a container cannot know how busy its peers will be).
+    /// The session's effective profile, never stretched: it sizes pulls
+    /// and gives every launched part its latency ℓ(rung), which a
+    /// container then scales by the interference of its *actually
+    /// concurrent* peers.
     profile: SharedProfile,
-    /// Unstretched effective profile; actual execution duration scales
-    /// this by the interference of the *actually concurrent* peers.
-    base: SharedProfile,
     /// Precomputed batch ladder of the effective profile: the rung shapes
     /// ladder execution may run, with cached per-rung latencies
     /// (DESIGN.md §16).
@@ -279,7 +277,7 @@ struct Route {
 }
 
 impl Route {
-    fn pick(&mut self, _rng: &mut StdRng) -> Option<usize> {
+    fn pick(&mut self) -> Option<usize> {
         // Tracking the best credit in a local is exact: a target's credit
         // only changes at its own iteration, so the cached value cannot go
         // stale before the scan ends.
@@ -309,7 +307,6 @@ enum SlotDecision {
     Pulled {
         session: SessionId,
         batch: Vec<Request>,
-        duration: Micros,
         /// Expiry of the oldest survivor if the batch came back empty.
         pending_expiry: Option<Micros>,
     },
@@ -341,7 +338,6 @@ pub struct ClusterSim {
     arrivals: Vec<ArrivalGen>,
     arrival_rng: Vec<StdRng>,
     gamma_rng: StdRng,
-    route_rng: StdRng,
     tracker: QueryTracker,
     metrics: ClusterMetrics,
     next_request: u64,
@@ -389,8 +385,9 @@ pub struct ClusterSim {
     /// Reusable pull buffers: one batch/dropped pair refilled in place on
     /// every dispatch, so the hot path allocates nothing.
     scratch: BatchPull,
-    /// Reusable minibatch segmentation buffer for ladder pulls (cleared
-    /// and refilled per dispatch, like `scratch`).
+    /// Reusable part sequence of the last pull: its rung-shaped
+    /// minibatches, or one part for a classic pull (cleared and refilled
+    /// per dispatch, like `scratch`).
     mb_scratch: Vec<MiniBatch>,
     /// Reusable per-batch buffer of `(child stage, gamma, deadline
     /// offset)` edges, hoisted out of the completion loop (every request
@@ -564,7 +561,6 @@ impl ClusterSim {
         let mut metrics = ClusterMetrics::new(Micros::from_secs(1));
         metrics.record_allocation(Micros::ZERO, control.gpu_count() as u32);
         let gamma_rng = rng_for(cfg.seed, 0xFA_0000);
-        let route_rng = rng_for(cfg.seed, 0xFB_0000);
         let n_classes = classes.len();
         let cfg2_trace = cfg.trace_capacity;
         let fleet = FleetHealth::new(cfg.max_gpus as usize);
@@ -596,7 +592,6 @@ impl ClusterSim {
             arrivals,
             arrival_rng,
             gamma_rng,
-            route_rng,
             tracker: QueryTracker::new(),
             metrics,
             next_request: 0,
@@ -741,34 +736,31 @@ impl ClusterSim {
                 session,
             });
         }
-        match self.routes[session.0 as usize].pick(&mut self.route_rng) {
+        match self.routes[session.0 as usize].pick() {
             Some(backend) => {
-                let slot = self.backends[backend]
-                    .slot_of(session)
-                    .expect("route targets host the session");
-                self.backends[backend].slots[slot].queue.push(req);
+                let slot = self.enqueue(backend, req);
                 self.arm(now, backend, slot);
             }
-            None => {
-                // No replica (infeasible or capacity-capped): admission
-                // control rejects at the frontend.
-                self.metrics.record_drop(session, now);
-                if let Some(tr) = &mut self.trace {
-                    tr.push(TraceEvent::Drop {
-                        t: now,
-                        request: req.id.0,
-                        session,
-                        cause: DropCause::NoRoute,
-                    });
-                }
-                self.tracker.record(query, RequestOutcome::Dropped(now));
-            }
+            // No replica (infeasible or capacity-capped): admission
+            // control rejects at the frontend.
+            None => self.drop_request(now, req, DropCause::NoRoute),
         }
     }
 
+    /// Queues `req` on the slot of `backend` that hosts its session (a
+    /// route target always does) and returns that slot.
+    fn enqueue(&mut self, backend: usize, req: Request) -> usize {
+        let b = &mut self.backends[backend];
+        let slot = b
+            .slot_of(req.session)
+            .expect("route targets host the session");
+        b.slots[slot].queue.push(req);
+        slot
+    }
+
     /// Arms a wake for the backend (coordinated) or slot (uncoordinated)
-    /// after `slot`'s queue changed; `usize::MAX` means every slot did (a
-    /// new deployment, a fault ending).
+    /// after `slot`'s queue changed; `usize::MAX` means every slot of a
+    /// coordinated backend did (see [`Self::arm_all`]).
     ///
     /// A coordinated backend is woken at the changed slot's ready time,
     /// not now. The invariant that makes this enough: while the backend
@@ -778,7 +770,8 @@ impl ClusterSim {
     /// which the serve scan re-arms from every slot), so the other slots
     /// need no look. A busy backend has no wake armed (it launched from a
     /// wake that had just cleared it, or from a completion) and arms
-    /// nothing: its last completion rescans every slot.
+    /// nothing: its last completion rescans every slot. An idle container
+    /// is woken now, once per arrival.
     fn arm(&mut self, now: Micros, backend: usize, slot: usize) {
         // `fault_mode` gate: with no faults configured every slot serves
         // forever, so the fleet-health lookup is a constant `true` — skip
@@ -789,7 +782,7 @@ impl ClusterSim {
             return;
         }
         let b = &self.backends[backend];
-        if self.cfg.system.coordinated {
+        let t = if self.cfg.system.coordinated {
             if b.busy {
                 return;
             }
@@ -797,12 +790,36 @@ impl ClusterSim {
                 Some(s) => ready_at(s, now),
                 None => b.slots.iter().filter_map(|s| ready_at(s, now)).min(),
             };
-            if let Some(t) = ready {
-                let t = t.max(b.available_at);
-                self.arm_backend(t, backend);
+            let Some(t) = ready else {
+                return;
+            };
+            t
+        } else if b.slots.get(slot).is_some_and(|s| !s.busy) {
+            now
+        } else {
+            return;
+        };
+        let t = t.max(b.available_at);
+        self.wake(t, backend, slot);
+    }
+
+    /// Arms every slot of `backend` (a new deployment, a fault ending).
+    fn arm_all(&mut self, now: Micros, backend: usize) {
+        if self.cfg.system.coordinated {
+            self.arm(now, backend, usize::MAX);
+        } else {
+            for slot in 0..self.backends[backend].slots.len() {
+                self.arm(now, backend, slot);
             }
-        } else if slot < b.slots.len() && !b.slots[slot].busy {
-            let t = now.max(b.available_at);
+        }
+    }
+
+    /// Re-arms `backend` at `t`: a coordinated backend through its deduped
+    /// [`Self::arm_backend`], a container's `slot` with a wake of its own.
+    fn wake(&mut self, t: Micros, backend: usize, slot: usize) {
+        if self.cfg.system.coordinated {
+            self.arm_backend(t, backend);
+        } else {
             self.push_wake(t, backend, slot as u32);
         }
     }
@@ -845,11 +862,7 @@ impl ClusterSim {
         if self.fault_mode && !self.slot_serving(backend) {
             return;
         }
-        if self.cfg.system.coordinated {
-            self.serve_coordinated(now, backend);
-        } else {
-            self.serve_slot(now, backend, slot);
-        }
+        self.serve(now, backend, slot);
     }
 
     /// Allocates a batch id and records the in-flight copy (fault mode
@@ -898,34 +911,37 @@ impl ClusterSim {
         self.scratch.dropped = dropped;
     }
 
-    /// Round-robin service: find the first ready slot from the cursor and
-    /// execute one batch exclusively.
-    fn serve_coordinated(&mut self, now: Micros, backend: usize) {
-        {
-            let b = &self.backends[backend];
-            if b.busy {
-                return;
-            }
-            if now < b.available_at {
-                let t = b.available_at;
-                self.arm_backend(t, backend);
-                return;
-            }
-        }
-        let n = self.backends[backend].slots.len();
-        if n == 0 {
+    /// The one serve path (DESIGN.md §11): pulls the first ready batch and
+    /// launches it. A coordinated backend scans every slot round-robin
+    /// from its cursor and runs one batch at a time; a container scans
+    /// only its own `slot`. Both inspect, record drops and launch the same
+    /// way, and a scan that launches nothing re-arms through
+    /// [`Self::wake`].
+    fn serve(&mut self, now: Micros, backend: usize, slot: usize) {
+        let coordinated = self.cfg.system.coordinated;
+        let b = &self.backends[backend];
+        let len = b.slots.len();
+        // A busy coordinated backend rescans at its completion; a busy
+        // container slot is skipped by `ready_at`.
+        if (coordinated && b.busy) || (!coordinated && slot >= len) {
             return;
         }
+        if now < b.available_at {
+            let t = b.available_at;
+            self.wake(t, backend, slot);
+            return;
+        }
+        let first = if coordinated { b.cursor } else { slot };
+        let n = if coordinated { len } else { 1 };
         let policy = self.cfg.system.drop_policy;
-        let ladder_on = self.cfg.system.ladder;
-        let cursor = self.backends[backend].cursor;
+        // Containers always pull classic batches.
+        let ladder_on = self.cfg.system.ladder && coordinated;
         let mut earliest_wake: Option<Micros> = None;
-        // `cursor < n` always (it is stored pre-wrapped below), so one
+        // `first < len` always (the cursor is stored pre-wrapped), so one
         // conditional subtract replaces the per-slot modulo. The scan runs
         // as an inner loop holding the backend borrow (see `inspect_slot`);
         // it only drops out to `&mut self` territory on a pull — empty
-        // pulls (everything expired) re-enter the scan where it left off,
-        // exactly like the original single-level loop did.
+        // pulls (everything expired) re-enter the scan where it left off.
         let mut k = 0;
         while k < n {
             let pulled = {
@@ -934,9 +950,9 @@ impl ClusterSim {
                     if k >= n {
                         break None;
                     }
-                    let mut si = cursor + k;
-                    if si >= n {
-                        si -= n;
+                    let mut si = first + k;
+                    if si >= len {
+                        si -= len;
                     }
                     k += 1;
                     match inspect_slot(
@@ -955,97 +971,17 @@ impl ClusterSim {
                         SlotDecision::Pulled {
                             session,
                             batch,
-                            duration,
                             pending_expiry,
-                        } => break Some((si, session, batch, duration, pending_expiry)),
+                        } => break Some((si, session, batch, pending_expiry)),
                     }
                 }
             };
-            let Some((si, session, batch, duration, pending_expiry)) = pulled else {
+            let Some((si, session, batch, pending_expiry)) = pulled else {
                 break;
             };
             self.record_drops(now, session, backend, si);
             if !batch.is_empty() {
-                // Straggler slowdown stretches the execution; the
-                // gate keeps no-fault runs bit-identical (scale
-                // rounds through f64). Without faults the factor is
-                // a constant 1.0 — skip the health lookup.
-                let slowdown = if self.fault_mode {
-                    self.fleet.slowdown(self.backend_slot[backend])
-                } else {
-                    1.0
-                };
-                {
-                    let b = &mut self.backends[backend];
-                    b.busy = true;
-                    b.cursor = if si + 1 == n { 0 } else { si + 1 };
-                }
-                if ladder_on {
-                    // Ladder execution (DESIGN.md §16): the slot's rung
-                    // sequence runs back-to-back on the device; each
-                    // minibatch completes at its cumulative finish, and
-                    // only the last frees the backend for the next
-                    // duty-cycle round.
-                    {
-                        let b = &mut self.backends[backend];
-                        let slots = &b.slots;
-                        let parts = self.mb_scratch.iter().map(|mb| {
-                            let d = slots[si].ladder.rung_latency(mb.rung);
-                            let d = if slowdown != 1.0 {
-                                d.scale(slowdown)
-                            } else {
-                                d
-                            };
-                            (d, mb.len)
-                        });
-                        b.gpu.execute_sequence(now, parts);
-                    }
-                    let nmb = self.mb_scratch.len();
-                    let mut start = now;
-                    let mut rest = batch;
-                    for j in 0..nmb {
-                        let mb = self.mb_scratch[j];
-                        let d = self.backends[backend].slots[si]
-                            .ladder
-                            .rung_latency(mb.rung);
-                        let duration = if slowdown != 1.0 {
-                            d.scale(slowdown)
-                        } else {
-                            d
-                        };
-                        let part = if j + 1 == nmb {
-                            std::mem::take(&mut rest)
-                        } else {
-                            let mut p = self.batch_pool.pop().unwrap_or_default();
-                            p.extend(rest.drain(..mb.len as usize));
-                            p
-                        };
-                        let last = j + 1 == nmb;
-                        self.launch(
-                            backend,
-                            si,
-                            session,
-                            part,
-                            start,
-                            duration,
-                            mb.rung,
-                            j > 0,
-                            last,
-                        );
-                        start += duration;
-                    }
-                    return;
-                }
-                let duration = if slowdown != 1.0 {
-                    duration.scale(slowdown)
-                } else {
-                    duration
-                };
-                let size = batch.len() as u32;
-                self.backends[backend].gpu.execute(now, duration, size);
-                self.launch(
-                    backend, si, session, batch, now, duration, size, false, true,
-                );
+                self.launch_parts(now, backend, si, session, batch);
                 return;
             }
             self.recycle(batch);
@@ -1056,70 +992,115 @@ impl ClusterSim {
             }
         }
         if let Some(f) = earliest_wake {
-            self.arm_backend(f, backend);
+            self.wake(f, backend, slot);
         }
     }
 
-    /// Uncoordinated (container) service of one slot.
-    fn serve_slot(&mut self, now: Micros, backend: usize, slot: usize) {
-        if slot >= self.backends[backend].slots.len() {
-            return;
-        }
-        if now < self.backends[backend].available_at {
-            let t = self.backends[backend].available_at;
-            self.push_wake(t, backend, slot as u32);
-            return;
-        }
-        let policy = self.cfg.system.drop_policy;
-        match inspect_slot(
-            &mut self.backends[backend].slots[slot],
-            now,
-            policy,
-            false,
-            &mut self.scratch,
-            &mut self.mb_scratch,
-            &mut self.batch_pool,
-        ) {
-            SlotDecision::Skip => {}
-            SlotDecision::NotReady(f) => self.push_wake(f.max(now), backend, slot as u32),
-            SlotDecision::Pulled {
-                session,
-                batch,
-                duration: _,
-                pending_expiry,
-            } => {
-                self.record_drops(now, session, backend, slot);
-                if !batch.is_empty() {
-                    let size = batch.len() as u32;
-                    let slowdown = if self.fault_mode {
-                        self.fleet.slowdown(self.backend_slot[backend])
-                    } else {
-                        1.0
-                    };
-                    let b = &mut self.backends[backend];
-                    // Interference from the peers that are executing right
-                    // now (including ourselves): an idle co-located
-                    // container costs nothing.
-                    let concurrent = 1 + b.slots.iter().filter(|s| s.busy).count();
-                    let factor = self.cfg.system.interference.slowdown(concurrent);
-                    let mut duration = b.slots[slot].base.latency_clamped(size).scale(factor);
-                    if slowdown != 1.0 {
-                        duration = duration.scale(slowdown);
-                    }
-                    b.slots[slot].busy = true;
-                    // Fair-share accounting: concurrent containers
-                    // time-share the device.
-                    b.gpu.accrue_shared(duration / concurrent as u64, size);
-                    self.launch(
-                        backend, slot, session, batch, now, duration, size, false, true,
-                    );
-                } else {
-                    self.recycle(batch);
-                    if let Some(expiry) = pending_expiry {
-                        self.push_wake(expiry.max(now + Micros(1)), backend, slot as u32);
-                    }
+    /// Launches `batch`, just pulled from `slot`, as the part sequence
+    /// [`inspect_slot`] left in `mb_scratch` (DESIGN.md §16): the parts run
+    /// back-to-back from `now`, each completes at its cumulative finish,
+    /// and only the last frees the backend (coordinated) or the slot
+    /// (container) for the next pull. A classic pull is one part.
+    fn launch_parts(
+        &mut self,
+        now: Micros,
+        backend: usize,
+        slot: usize,
+        session: SessionId,
+        batch: Vec<Request>,
+    ) {
+        // Straggler slowdown stretches every part; without faults the
+        // factor is a constant 1.0 — skip the health lookup.
+        let slowdown = if self.fault_mode {
+            self.fleet.slowdown(self.backend_slot[backend])
+        } else {
+            1.0
+        };
+        let b = &mut self.backends[backend];
+        let (interference, shared_by) = if self.cfg.system.coordinated {
+            b.busy = true;
+            b.cursor = (slot + 1) % b.slots.len();
+            (1.0, None)
+        } else {
+            // Interference from the peers that are executing right now
+            // (including this one): an idle co-located container costs
+            // nothing.
+            let concurrent = 1 + b.slots.iter().filter(|s| s.busy).count();
+            b.slots[slot].busy = true;
+            let factor = self.cfg.system.interference.slowdown(concurrent);
+            (factor, Some(concurrent as u64))
+        };
+        let s = &b.slots[slot];
+        let parts = self
+            .mb_scratch
+            .iter()
+            .map(|mb| (part_duration(s, mb.rung, interference, slowdown), mb.len));
+        match shared_by {
+            None => {
+                b.gpu.execute_sequence(now, parts);
+            }
+            // Fair-share accounting: concurrent containers time-share the
+            // device.
+            Some(concurrent) => {
+                for (d, items) in parts {
+                    b.gpu.accrue_shared(d / concurrent, items);
                 }
             }
+        }
+        // One execution per part over `[start, start + duration)`: trace
+        // it, record the in-flight copy, park the payload and schedule its
+        // completion.
+        let nmb = self.mb_scratch.len();
+        let mut start = now;
+        let mut rest = batch;
+        for j in 0..nmb {
+            let mb = self.mb_scratch[j];
+            let s = &self.backends[backend].slots[slot];
+            let duration = part_duration(s, mb.rung, interference, slowdown);
+            let last = j + 1 == nmb;
+            let requests = if last {
+                std::mem::take(&mut rest)
+            } else {
+                let mut p = self.batch_pool.pop().unwrap_or_default();
+                p.extend(rest.drain(..mb.len as usize));
+                p
+            };
+            let seq = match &mut self.trace {
+                Some(tr) => {
+                    let seq = tr.alloc_batch_seq();
+                    tr.push(TraceEvent::Batch {
+                        t: start,
+                        backend,
+                        session,
+                        size: requests.len() as u32,
+                        duration,
+                        rung: mb.rung,
+                        leftover: j > 0,
+                        seq,
+                    });
+                    seq
+                }
+                None => 0,
+            };
+            let (id, pslot) = self.launch_bookkeeping(backend, &requests);
+            let job = self.alloc_job(BatchJob {
+                requests,
+                slot,
+                gen: self.generation,
+                batch: id,
+                pslot,
+                started: start,
+                seq,
+                last,
+            });
+            self.events.push(
+                start + duration,
+                Event::BatchDone {
+                    backend: backend as u32,
+                    job,
+                },
+            );
+            start += duration;
         }
     }
 
@@ -1127,60 +1108,6 @@ impl ClusterSim {
     fn recycle(&mut self, mut batch: Vec<Request>) {
         batch.clear();
         self.batch_pool.push(batch);
-    }
-
-    /// Launches `requests` as one execution of `slot` on `backend` over
-    /// `[start, start + duration)`: traces the batch, records the in-flight
-    /// copy, parks the payload and schedules its completion. `last` marks
-    /// the execution whose completion frees the backend or slot.
-    #[allow(clippy::too_many_arguments)]
-    fn launch(
-        &mut self,
-        backend: usize,
-        slot: usize,
-        session: SessionId,
-        requests: Vec<Request>,
-        start: Micros,
-        duration: Micros,
-        rung: u32,
-        leftover: bool,
-        last: bool,
-    ) {
-        let seq = match &mut self.trace {
-            Some(tr) => {
-                let seq = tr.alloc_batch_seq();
-                tr.push(TraceEvent::Batch {
-                    t: start,
-                    backend,
-                    session,
-                    size: requests.len() as u32,
-                    duration,
-                    rung,
-                    leftover,
-                    seq,
-                });
-                seq
-            }
-            None => 0,
-        };
-        let (batch, pslot) = self.launch_bookkeeping(backend, &requests);
-        let job = self.alloc_job(BatchJob {
-            requests,
-            slot,
-            gen: self.generation,
-            batch,
-            pslot,
-            started: start,
-            seq,
-            last,
-        });
-        self.events.push(
-            start + duration,
-            Event::BatchDone {
-                backend: backend as u32,
-                job,
-            },
-        );
     }
 
     /// Allocates a [`BatchJob`] pool slot (recycling freed ones) for an
@@ -1291,8 +1218,8 @@ impl ClusterSim {
             }
         }
         self.recycle(requests);
-        // A ladder minibatch before the last: the slot's rung sequence is
-        // still executing, so the backend stays held.
+        // A part before the last: the batch's sequence is still
+        // executing, so the backend or slot stays held.
         if !last {
             return;
         }
@@ -1302,16 +1229,14 @@ impl ClusterSim {
         if gen != self.generation {
             return;
         }
+        let b = &mut self.backends[backend];
         if self.cfg.system.coordinated {
-            self.backends[backend].busy = false;
-            if !self.fault_mode || self.slot_serving(backend) {
-                self.serve_coordinated(now, backend);
-            }
+            b.busy = false;
         } else {
-            self.backends[backend].slots[slot].busy = false;
-            if !self.fault_mode || self.slot_serving(backend) {
-                self.serve_slot(now, backend, slot);
-            }
+            b.slots[slot].busy = false;
+        }
+        if !self.fault_mode || self.slot_serving(backend) {
+            self.serve(now, backend, slot);
         }
     }
 
@@ -1489,27 +1414,11 @@ impl ClusterSim {
         self.backend_slot = new_backend_slot;
         self.control = next;
         for req in orphans {
-            match self.routes[req.session.0 as usize].pick(&mut self.route_rng) {
+            match self.routes[req.session.0 as usize].pick() {
                 Some(backend) => {
-                    let slot = self.backends[backend]
-                        .slot_of(req.session)
-                        .expect("routed sessions are hosted");
-                    self.backends[backend].slots[slot].queue.push(req);
+                    self.enqueue(backend, req);
                 }
-                None => {
-                    self.metrics.record_drop(req.session, now);
-                    if let Some(tr) = &mut self.trace {
-                        tr.push(TraceEvent::Drop {
-                            t: now,
-                            request: req.id.0,
-                            session: req.session,
-                            cause: DropCause::Orphaned,
-                        });
-                    }
-                    if let Some(q) = req.query {
-                        self.tracker.record(q, RequestOutcome::Dropped(now));
-                    }
-                }
+                None => self.drop_request(now, req, DropCause::Orphaned),
             }
         }
         self.metrics
@@ -1523,13 +1432,7 @@ impl ClusterSim {
         }
         // Wake everything to pick up the new schedule.
         for backend in 0..self.backends.len() {
-            if self.cfg.system.coordinated {
-                self.arm(now, backend, usize::MAX);
-            } else {
-                for slot in 0..self.backends[backend].slots.len() {
-                    self.arm(now, backend, slot);
-                }
-            }
+            self.arm_all(now, backend);
         }
     }
 
@@ -1626,13 +1529,7 @@ impl ClusterSim {
         self.fleet.end_fault(slot);
         // Wake whichever backend sat out the fault on this slot.
         if let Some(backend) = self.backend_slot.iter().position(|&s| s == slot) {
-            if self.cfg.system.coordinated {
-                self.arm(now, backend, usize::MAX);
-            } else {
-                for si in 0..self.backends[backend].slots.len() {
-                    self.arm(now, backend, si);
-                }
-            }
+            self.arm_all(now, backend);
         }
     }
 
@@ -1712,7 +1609,7 @@ impl ClusterSim {
         let session = req.session;
         let exec = &self.control.sessions[session.0 as usize].exec_profile;
         if req.deadline >= now + BatchLadder::from_profile(exec).min_latency() {
-            if let Some(backend) = self.routes[session.0 as usize].pick(&mut self.route_rng) {
+            if let Some(backend) = self.routes[session.0 as usize].pick() {
                 if let Some(tr) = &mut self.trace {
                     tr.push(TraceEvent::Retry {
                         t: now,
@@ -1720,27 +1617,30 @@ impl ClusterSim {
                         session,
                     });
                 }
-                let slot = self.backends[backend]
-                    .slot_of(session)
-                    .expect("route targets host the session");
-                self.backends[backend].slots[slot].queue.push(req);
+                let slot = self.enqueue(backend, req);
                 self.arm(now, backend, slot);
                 return true;
             }
         }
-        self.metrics.record_drop(session, now);
+        self.drop_request(now, req, DropCause::Stranded);
+        false
+    }
+
+    /// Drops `req` at `now` outside a pull: counts it, traces it with
+    /// `cause`, and closes its query's branch as dropped.
+    fn drop_request(&mut self, now: Micros, req: Request, cause: DropCause) {
+        self.metrics.record_drop(req.session, now);
         if let Some(tr) = &mut self.trace {
             tr.push(TraceEvent::Drop {
                 t: now,
                 request: req.id.0,
-                session,
-                cause: DropCause::Stranded,
+                session: req.session,
+                cause,
             });
         }
         if let Some(q) = req.query {
             self.tracker.record(q, RequestOutcome::Dropped(now));
         }
-        false
     }
 
     /// A rejoin wants its regained capacity packed in. Deaths re-pack
@@ -1825,22 +1725,12 @@ impl ClusterSim {
             leftovers.extend(requests);
         }
         for (i, req) in leftovers.into_iter().enumerate() {
-            self.metrics.record_drop(req.session, end);
-            if let Some(tr) = &mut self.trace {
-                tr.push(TraceEvent::Drop {
-                    t: end,
-                    request: req.id.0,
-                    session: req.session,
-                    cause: if i < queued_leftovers {
-                        DropCause::RunEnd
-                    } else {
-                        DropCause::Stranded
-                    },
-                });
-            }
-            if let Some(q) = req.query {
-                self.tracker.record(q, RequestOutcome::Dropped(end));
-            }
+            let cause = if i < queued_leftovers {
+                DropCause::RunEnd
+            } else {
+                DropCause::Stranded
+            };
+            self.drop_request(end, req, cause);
         }
         self.gpu_seconds_allocated +=
             (end - self.last_alloc_change).as_secs_f64() * self.control.gpu_count() as f64;
@@ -2050,22 +1940,17 @@ fn inspect_slot(
             Micros::MAX,
             scratch,
         );
+        // A classic batch is the one-part sequence: its own size is the
+        // rung, so the part runs in exactly ℓ(n).
+        let n = scratch.batch.len() as u32;
+        minibatches.clear();
+        minibatches.push(MiniBatch { rung: n, len: n });
     }
     if !scratch.batch.is_empty() && !slot.rotation.is_empty() {
         // Every non-empty pull launches: advance the rotation.
         slot.rotation.rotate_left(1);
         slot.target_batch = slot.rotation[0];
     }
-    let duration = if scratch.batch.is_empty() {
-        Micros::ZERO
-    } else if ladder_on {
-        minibatches
-            .iter()
-            .map(|mb| slot.ladder.rung_latency(mb.rung))
-            .sum()
-    } else {
-        slot.profile.latency_clamped(scratch.batch.len() as u32)
-    };
     let pending_expiry = if scratch.batch.is_empty() {
         slot.queue.oldest_deadline()
     } else {
@@ -2077,7 +1962,6 @@ fn inspect_slot(
     SlotDecision::Pulled {
         session: slot.session,
         batch,
-        duration,
         pending_expiry,
     }
 }
@@ -2095,6 +1979,20 @@ fn forced_start(slot: &Slot) -> Micros {
     deadline
         .saturating_sub(slot.timing.latency_clamped(n))
         .saturating_sub(slot.reserve)
+}
+
+/// Execution time of one `rung`-shaped part of `slot`'s batch: ℓ(rung)
+/// (the ladder caches the same value for every rung), stretched by a
+/// container's `interference`, then by a straggler `slowdown`. A factor of
+/// 1.0 is skipped, so an unstretched part is exactly ℓ(rung).
+fn part_duration(slot: &Slot, rung: u32, interference: f64, slowdown: f64) -> Micros {
+    let mut d = slot.profile.latency_clamped(rung);
+    for factor in [interference, slowdown] {
+        if factor != 1.0 {
+            d = d.scale(factor);
+        }
+    }
+    d
 }
 
 /// Samples a fan-out count (stochastic rounding for fractional fixed γ).
@@ -2172,13 +2070,12 @@ fn build_backends(control: &ControlPlan, system: &SystemConfig) -> Vec<Backend> 
                         gather_limit,
                         reserve,
                         timing,
-                        profile: exec.clone(),
                         // The squishy-planned batch is materialised as a
                         // rung so the slot's operating shape is compiled:
                         // full pulls run exactly the planned size instead
                         // of padding up to the next power of two.
                         ladder: BatchLadder::from_profile(&exec).with_rung(e.batch.max(1), &exec),
-                        base: exec,
+                        profile: exec,
                         queue: SessionQueue::new(),
                         busy: false,
                         jitter_state: (bi as u64) << 32 | e.session.0 as u64,
@@ -2780,9 +2677,8 @@ mod tests {
             gather_limit: Micros::from_micros(gather_us),
             reserve: Micros::from_micros(reserve_us),
             timing: exec.clone(),
-            profile: exec.clone(),
+            profile: exec,
             ladder: BatchLadder::from_profile(&profile).with_rung(target, &profile),
-            base: exec,
             queue,
             busy,
             jitter_state,

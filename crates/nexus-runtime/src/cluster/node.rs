@@ -115,7 +115,7 @@ impl ClusterSim {
                 if rotation.len() > 1 {
                     // Every step is a rung, so each launch runs a compiled
                     // shape.
-                    let base = &slot.base;
+                    let base = &slot.profile;
                     slot.ladder = rotation
                         .iter()
                         .fold(slot.ladder.clone(), |l, &b| l.with_rung(b, base));
