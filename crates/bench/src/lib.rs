@@ -36,13 +36,36 @@ pub struct Args {
     pub trace: Option<PathBuf>,
 }
 
+/// `flag`'s value as an integer, or the usage error naming both.
+fn integer(flag: &str, value: String) -> Result<u64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs an integer, got {value:?}"))
+}
+
+/// What [`Args::parse`] prints after a usage error.
+const USAGE: &str = "usage: [--seed N] [--secs N] [--quick] [--out FILE] [--trace FILE]";
+
 impl Args {
-    /// Parses `std::env::args`, with experiment-appropriate defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// Parses `std::env::args`, with experiment-appropriate defaults. A
+    /// malformed command line (`--help` included) prints `error: …` and the
+    /// usage on stderr and exits 2.
     pub fn parse(default_secs: u64) -> Args {
+        match Args::try_parse(std::env::args().skip(1), default_secs) {
+            Ok(args) => args,
+            Err(e) => {
+                eprintln!("error: {e}\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// [`Args::parse`] over explicit arguments: `Err` with the message for
+    /// a malformed command line.
+    fn try_parse(
+        argv: impl IntoIterator<Item = String>,
+        default_secs: u64,
+    ) -> Result<Args, String> {
         let mut args = Args {
             seed: 42,
             secs: default_secs,
@@ -50,36 +73,22 @@ impl Args {
             out: None,
             trace: None,
         };
-        let mut it = std::env::args().skip(1);
+        let mut it = argv.into_iter();
         while let Some(a) = it.next() {
+            let mut value = || it.next().ok_or(format!("{a} needs a value"));
             match a.as_str() {
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer")
-                }
-                "--secs" => {
-                    args.secs = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--secs needs an integer")
-                }
+                "--seed" => args.seed = integer(&a, value()?)?,
+                "--secs" => args.secs = integer(&a, value()?)?,
                 "--quick" => args.quick = true,
-                "--out" => args.out = Some(PathBuf::from(it.next().expect("--out needs a path"))),
-                "--trace" => {
-                    args.trace = Some(PathBuf::from(it.next().expect("--trace needs a path")))
-                }
-                other => panic!(
-                    "unknown argument {other:?} \
-                     (supported: --seed N --secs N --quick --out FILE --trace FILE)"
-                ),
+                "--out" => args.out = Some(PathBuf::from(value()?)),
+                "--trace" => args.trace = Some(PathBuf::from(value()?)),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
         if args.quick {
             args.secs = args.secs.min(10);
         }
-        args
+        Ok(args)
     }
 
     /// The simulation horizon for this run.
@@ -297,6 +306,27 @@ mod tests {
             assert_eq!(b, 25, "α={alpha}");
             let t = p.throughput(b);
             assert!((t - 500.0).abs() < 1.0, "α={alpha}: t={t}");
+        }
+    }
+
+    #[test]
+    fn malformed_command_lines_are_usage_errors() {
+        let parse = |argv: &[&str]| Args::try_parse(argv.iter().map(|a| a.to_string()), 20);
+        let args = parse(&["--seed", "7", "--quick", "--out", "x.json"]).unwrap();
+        assert_eq!((args.seed, args.secs, args.quick), (7, 10, true));
+        assert_eq!(args.out, Some(PathBuf::from("x.json")));
+        for (argv, want) in [
+            (&["--bogus"][..], "unknown argument \"--bogus\""),
+            (&["--help"][..], "unknown argument \"--help\""),
+            (&["--seed"][..], "--seed needs a value"),
+            (
+                &["--secs", "ten"][..],
+                "--secs needs an integer, got \"ten\"",
+            ),
+            (&["--seed", "-1"][..], "--seed needs an integer, got \"-1\""),
+            (&["--out"][..], "--out needs a value"),
+        ] {
+            assert_eq!(parse(argv).unwrap_err(), want, "{argv:?}");
         }
     }
 

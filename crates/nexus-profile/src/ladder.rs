@@ -31,16 +31,24 @@ impl BatchLadder {
     /// Derives the ladder from a profile: powers of two below `max_batch`,
     /// plus `max_batch` itself as the top rung.
     pub fn from_profile(profile: &BatchingProfile) -> Self {
-        let max = profile.max_batch().max(1);
-        let mut rungs = Vec::new();
-        let mut r = 1u32;
-        while r < max {
-            rungs.push(r);
-            r = r.saturating_mul(2);
-        }
-        rungs.push(max);
-        let latencies = rungs.iter().map(|&b| profile.latency(b)).collect();
+        let (rungs, latencies) = Self::profile_rungs(profile).unzip();
         BatchLadder { rungs, latencies }
+    }
+
+    /// The rungs [`from_profile`](Self::from_profile) builds, as
+    /// `(b, ℓ(b))` pairs in ascending `b`, without allocating: powers of
+    /// two below `max_batch`, then `max_batch`. This is the one definition
+    /// of the rung set; the split DP prices its candidates from it directly.
+    pub fn profile_rungs(
+        profile: &BatchingProfile,
+    ) -> impl ExactSizeIterator<Item = (u32, Micros)> + '_ {
+        let max = profile.max_batch().max(1);
+        // ⌈log₂ max⌉ powers of two below `max`, then `max` itself.
+        let count = u32::BITS - (max - 1).leading_zeros() + 1;
+        (0..count).map(move |i| {
+            let b = 1u32.checked_shl(i).map_or(max, |p| p.min(max));
+            (b, profile.latency(b))
+        })
     }
 
     /// Inserts `b` as an extra rung (compiling one more plan shape), as
@@ -157,6 +165,8 @@ mod tests {
         assert_eq!(l.rungs(), &[1, 2, 4, 8, 16, 32]);
         let l = BatchLadder::from_profile(&profile(24));
         assert_eq!(l.rungs(), &[1, 2, 4, 8, 16, 24]);
+        let l = BatchLadder::from_profile(&profile(33));
+        assert_eq!(l.rungs(), &[1, 2, 4, 8, 16, 32, 33]);
         let l = BatchLadder::from_profile(&profile(1));
         assert_eq!(l.rungs(), &[1]);
     }

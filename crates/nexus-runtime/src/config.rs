@@ -3,9 +3,12 @@
 //! baselines (§7.2, §7.5).
 
 use nexus_profile::Micros;
-use nexus_simgpu::{InterferenceModel, DEFAULT_CPU_WORKERS};
+use nexus_simgpu::InterferenceModel;
 
 use crate::dispatch::DropPolicy;
+
+/// Default CPU worker threads per GPU (§6.3: 4–5 cores saturate a GPU).
+pub const DEFAULT_CPU_WORKERS: u32 = 4;
 
 /// Which cluster scheduler allocates sessions to GPUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -172,40 +172,49 @@ pub fn optimize_latency_split(
         let stage = &dag.stages[u];
         // The stage's own demand depends on its window `k`, not on the
         // subtree budget `t`: tabulate it once instead of per (t, k).
-        let own: Vec<Option<f64>> = (0..=steps)
+        let own: Vec<f64> = (0..=steps)
             .map(|k| {
                 stage_cost(
                     &stage.profile,
                     rates[u],
                     Micros::from_micros(k as u64 * eps),
                 )
+                .unwrap_or(INF)
             })
             .collect();
-        let Some(first_k) = (1..=steps).find(|&k| own[k].is_some()) else {
+        let lows = record_lows(&own);
+        let Some(&first_k) = lows.first() else {
             continue;
         };
+        for &(c, _) in &stage.children {
+            debug_assert!(non_increasing(&f[c]), "child row {c} rises with budget");
+        }
         // Nothing reads the root's row below the full budget. A leaf's cost
         // ignores the budget left over, so budget t's scan is budget t−1's
         // followed by window t alone: it carries the running minimum
         // forward instead of rescanning — the same comparisons in the same
-        // order, so the same first-of-equals winner.
+        // order, so the same first-of-equals winner — and only a window
+        // that is a new low can move it. Every other row scans the new lows
+        // up to t (`record_lows` says why no other window can win).
         let root = u == 0;
         let leaf = !root && stage.children.is_empty();
         let first_t = if root { steps } else { first_k };
         let (mut best, mut best_k) = (INF, 0usize);
+        let mut live = 0;
         for t in first_t..=steps {
-            let from = if leaf {
-                t
+            let fresh = live;
+            while lows.get(live).is_some_and(|&k| k <= t) {
+                live += 1;
+            }
+            let scan = if leaf {
+                &lows[fresh..live]
             } else {
                 (best, best_k) = (INF, 0);
-                first_k
+                &lows[..live]
             };
-            for k in from..=t {
-                let Some(own) = own[k] else {
-                    continue;
-                };
+            for &k in scan {
                 let remaining = t - k;
-                let mut total = own;
+                let mut total = own[k];
                 for &(c, _) in &stage.children {
                     total += f[c][remaining];
                     if total.is_infinite() {
@@ -420,47 +429,69 @@ pub struct HeteroSplit {
     pub cost: f64,
 }
 
-/// A candidate's batch ladder reduced to what the split DP asks of it: for
-/// a window, the best throughput over the rungs `b` with `2ℓ(b) ≤ window`
-/// (the same feasibility rule the runtime's duty-cycle execution uses).
-/// Rung latencies are non-decreasing (the profile invariant
-/// [`BatchLadder::largest_rung_within`] also leans on), so the feasible
-/// rungs are a prefix and the best throughput over each prefix is computed
-/// once, by the same strict `>` scan a per-window pass would make.
-struct LadderThroughput {
-    /// Rung latencies, ascending.
-    latencies: Vec<Micros>,
-    /// `best[i]`: highest `b/ℓ(b)` over rungs `0..=i`.
-    best: Vec<f64>,
+/// The windows `k ≥ 1` whose cost is a strict new minimum over every
+/// earlier window, ascending. These are the only windows a split DP's
+/// `(t, k)` scan can pick, so it scans no other. A child's row `f[c][·]`
+/// never rises with its budget: a leaf's is a running minimum, and an inner
+/// row at budget `t` is a minimum over the windows up to `t` of sums whose
+/// child terms fall as the budget grows (IEEE addition rounds
+/// monotonically). So for a window `k` not listed here, the last listed
+/// window `j < k` has `cost[j] ≤ cost[k]` and leaves the children a larger
+/// budget, hence `total(j) ≤ total(k)`. The scan meets `j` first, and its
+/// strict `<` never moves its first minimum to `k`: `(best, best_k)` and the
+/// class recovered at `best_k` are unchanged. Infeasible windows (`INF`)
+/// are never listed.
+fn record_lows(cost: &[f64]) -> Vec<usize> {
+    let mut low = f64::INFINITY;
+    let mut lows = Vec::new();
+    for (k, &c) in cost.iter().enumerate().skip(1) {
+        if c < low {
+            low = c;
+            lows.push(k);
+        }
+    }
+    lows
 }
 
-impl LadderThroughput {
-    fn new(ladder: &BatchLadder) -> Self {
-        let mut latencies = Vec::with_capacity(ladder.rungs().len());
-        let mut best = Vec::with_capacity(ladder.rungs().len());
-        let mut so_far: Option<f64> = None;
-        for (i, &b) in ladder.rungs().iter().enumerate() {
-            let lat = ladder.latency_at(i);
-            let throughput = f64::from(b) / lat.as_secs_f64();
-            if so_far.is_none_or(|t| throughput > t) {
-                so_far = Some(throughput);
-            }
-            latencies.push(lat);
-            best.extend(so_far);
-        }
-        LadderThroughput { latencies, best }
-    }
+/// Whether a DP row never rises with its budget, which [`record_lows`]
+/// relies on for every child row it reads.
+fn non_increasing(row: &[f64]) -> bool {
+    row.windows(2).all(|w| w[1] <= w[0])
+}
 
-    /// Per-rung stage demand within `window`, as `rate / (b/ℓ(b))` GPUs.
-    /// `None` if even the bottom rung misses the window.
-    fn stage_cost(&self, rate: f64, window: Micros) -> Option<f64> {
-        if rate <= 0.0 {
-            return Some(0.0);
+/// A candidate's stage demand at every window `k·eps`, `k = 0..=steps`,
+/// handed to `put(k, cost)`: `rate / (b/ℓ(b))` GPUs for the best throughput
+/// over the rungs `b` with `2ℓ(b) ≤ window` (the same feasibility rule the
+/// runtime's duty-cycle execution uses), `None` if even the bottom rung
+/// misses the window. Rung latencies are non-decreasing (the profile
+/// invariant [`BatchLadder::largest_rung_within`] also leans on), so a
+/// window's feasible rungs are the previous window's plus any that just
+/// fit: one forward walk over rungs and windows together prices them all,
+/// with the same strict `>` a per-window rung scan makes.
+fn price_windows(
+    profile: &BatchingProfile,
+    rate: f64,
+    eps: u64,
+    steps: usize,
+    mut put: impl FnMut(usize, Option<f64>),
+) {
+    if rate <= 0.0 {
+        (0..=steps).for_each(|k| put(k, Some(0.0)));
+        return;
+    }
+    let mut rungs = BatchLadder::profile_rungs(profile).peekable();
+    let mut best: Option<f64> = None;
+    for k in 0..=steps {
+        let window = k as u64 * eps;
+        while let Some((b, lat)) =
+            rungs.next_if(|&(_, lat)| lat.as_micros().saturating_mul(2) <= window)
+        {
+            let throughput = f64::from(b) / lat.as_secs_f64();
+            if best.is_none_or(|t| throughput > t) {
+                best = Some(throughput);
+            }
         }
-        let feasible = self
-            .latencies
-            .partition_point(|l| l.as_micros().saturating_mul(2) <= window.as_micros());
-        (feasible > 0).then(|| rate / self.best[feasible - 1])
+        put(k, best.map(|t| rate / t));
     }
 }
 
@@ -469,7 +500,7 @@ impl LadderThroughput {
 /// `root_rate` req/s — the §6.2 DP extended per PPipe so slow/cheap classes
 /// absorb stages with slack while tight stages land on fast silicon.
 ///
-/// Each stage's feasible windows come from a [`BatchLadder`] built against
+/// Each stage's feasible windows come from the [`BatchLadder`] rungs of
 /// that class's profile, so the plan bills exact per-rung `ℓ(b)` on the
 /// class the stage lands on.
 ///
@@ -498,17 +529,14 @@ pub fn optimize_hetero_split(
         .iter()
         .zip(&rates)
         .map(|(s, &rate)| {
-            let ladders: Vec<LadderThroughput> = s
-                .candidates
-                .iter()
-                .map(|c| LadderThroughput::new(&BatchLadder::from_profile(&c.profile)))
-                .collect();
-            (0..=steps)
-                .flat_map(|k| {
-                    let window = Micros::from_micros(k as u64 * eps);
-                    ladders.iter().map(move |l| l.stage_cost(rate, window))
-                })
-                .collect()
+            let width = s.candidates.len();
+            let mut own = vec![None; (steps + 1) * width];
+            for (ci, c) in s.candidates.iter().enumerate() {
+                price_windows(&c.profile, rate, eps, steps, |k, cost| {
+                    own[k * width + ci] = cost;
+                });
+            }
+            own
         })
         .collect();
 
@@ -521,20 +549,6 @@ pub fn optimize_hetero_split(
     for u in (0..n).rev() {
         let stage = &dag.stages[u];
         let own_at = |k: usize| &own[u][k * stage.candidates.len()..][..stage.candidates.len()];
-        // The children's cost depends on the budget left to them alone.
-        let kids: Vec<f64> = (0..=steps)
-            .map(|remaining| {
-                let mut kids = 0.0;
-                for &(c, _) in &stage.children {
-                    kids += f[c][remaining];
-                }
-                kids
-            })
-            .collect();
-        // Windows below the first feasible one have no candidate at all.
-        let Some(first_k) = (1..=steps).find(|&k| own_at(k).iter().any(Option::is_some)) else {
-            continue;
-        };
         // A window's dollar cost on candidate ci, and per window the first
         // minimum over the candidates (INF if none fits): one multiply per
         // (k, ci) here instead of per (t, k, ci) below.
@@ -547,20 +561,42 @@ pub fn optimize_hetero_split(
                     .fold(INF, |min, cost| if cost < min { cost } else { min })
             })
             .collect();
+        let lows = record_lows(&cheapest);
+        let Some(&first_k) = lows.first() else {
+            continue;
+        };
+        // The children's cost depends on the budget left to them alone.
+        for &(c, _) in &stage.children {
+            debug_assert!(non_increasing(&f[c]), "child row {c} rises with budget");
+        }
+        let kids: Vec<f64> = (0..=steps)
+            .map(|remaining| {
+                let mut kids = 0.0;
+                for &(c, _) in &stage.children {
+                    kids += f[c][remaining];
+                }
+                kids
+            })
+            .collect();
         // The root is solved at the full budget only and a leaf carries its
         // running minimum across budgets, as in `optimize_latency_split`.
         let root = u == 0;
         let leaf = !root && stage.children.is_empty();
         let first_t = if root { steps } else { first_k };
         let (mut best, mut best_k) = (INF, 0usize);
+        let mut live = 0;
         for t in first_t..=steps {
-            let from = if leaf {
-                t
+            let fresh = live;
+            while lows.get(live).is_some_and(|&k| k <= t) {
+                live += 1;
+            }
+            let scan = if leaf {
+                &lows[fresh..live]
             } else {
                 (best, best_k) = (INF, 0);
-                first_k
+                &lows[..live]
             };
-            for k in from..=t {
+            for &k in scan {
                 let kids = kids[t - k];
                 if kids.is_infinite() {
                     continue;
@@ -1324,39 +1360,113 @@ mod tests {
             dps_match_reference(&raw, slo_ms, root_rate, [1u32, 7, 50, 120][segments_idx])?;
         }
 
-        /// The prefix-maximum table answers every window with the `f64`
-        /// the per-window rung scan computes.
+        /// The `own` walk prices every window with the `f64` the
+        /// per-window rung scan computes.
         #[test]
         fn ladder_throughput_table_matches_the_rung_scan(
-            alpha_us in 20.0f64..3_000.0,
-            beta_us in 100.0f64..80_000.0,
-            max_batch in 1u32..130,
+            alpha_us in 0.5f64..3_000.0,
+            beta_us in 10.0f64..80_000.0,
+            batch_kind in 0u32..4,
+            max_batch in 2u32..130,
             rate_kind in 0u32..5,
             rate in 0.5f64..2_000.0,
+            steps in 1usize..300,
         ) {
-            let profile = BatchingProfile::from_linear_us(alpha_us, beta_us, max_batch);
-            let ladder = BatchLadder::from_profile(&profile);
-            let table = LadderThroughput::new(&ladder);
             let rate = if rate_kind == 0 { 0.0 } else { rate };
-            let top = 2 * profile.latency(max_batch).as_micros() + 3;
-            for i in 0..=200u64 {
-                // Sweep past the top rung, and probe each rung's exact edge.
-                let window = Micros::from_micros(top * i / 200);
+            walk_matches_rung_scan(alpha_us, beta_us, batch_kind, max_batch, rate, steps)?;
+        }
+    }
+
+    /// `price_windows` against `reference::ladder_stage_cost`, window by
+    /// window, on three grids: `steps` windows reaching past the top rung;
+    /// ε = 1 µs up to the top rung or 4 096 µs; and ε = 2ℓ − 1, 2ℓ, 2ℓ + 1
+    /// for every rung, so some window lands on each side of each rung's
+    /// edge. `batch_kind` 0 is `max_batch` 1 and 1 is 24 (not a power of
+    /// two).
+    fn walk_matches_rung_scan(
+        alpha_us: f64,
+        beta_us: f64,
+        batch_kind: u32,
+        max_batch: u32,
+        rate: f64,
+        steps: usize,
+    ) -> Result<(), TestCaseError> {
+        let max_batch = match batch_kind {
+            0 => 1,
+            1 => 24,
+            _ => max_batch,
+        };
+        let profile = BatchingProfile::from_linear_us(alpha_us, beta_us, max_batch);
+        let ladder = BatchLadder::from_profile(&profile);
+        let top = 2 * profile.latency(max_batch).as_micros() + 1;
+        let mut grids = vec![
+            (top.div_ceil(steps as u64), steps),
+            (1, top.min(4_096) as usize),
+        ];
+        for i in 0..ladder.rungs().len() {
+            let edge = 2 * ladder.latency_at(i).as_micros();
+            grids.extend([(edge.max(2) - 1, 2), (edge.max(1), 2), (edge + 1, 2)]);
+        }
+        for (eps, steps) in grids {
+            let mut own = vec![None; steps + 1];
+            price_windows(&profile, rate, eps, steps, |k, cost| own[k] = Some(cost));
+            for (k, cost) in own.into_iter().enumerate() {
+                let window = Micros::from_micros(k as u64 * eps);
                 prop_assert_eq!(
-                    table.stage_cost(rate, window),
-                    reference::ladder_stage_cost(&ladder, rate, window)
+                    cost,
+                    Some(reference::ladder_stage_cost(&ladder, rate, window)),
+                    "ε = {} µs, window {}",
+                    eps,
+                    k
                 );
             }
-            for i in 0..ladder.rungs().len() {
-                for edge in [0u64, 1, 2] {
-                    let window =
-                        Micros::from_micros((2 * ladder.latency_at(i).as_micros() + edge) - 1);
-                    prop_assert_eq!(
-                        table.stage_cost(rate, window),
-                        reference::ladder_stage_cost(&ladder, rate, window)
-                    );
-                }
-            }
+        }
+        Ok(())
+    }
+
+    /// `record_lows` lists a window only where the cost falls strictly:
+    /// never window 0, an infeasible window, or the second of two equal
+    /// windows. On a pooled DP whose two root classes reach the same cost
+    /// at different windows, under a child that is infeasible below its
+    /// slow class's 2ℓ(1), scanning only those windows returns the full
+    /// scan's split.
+    #[test]
+    fn record_low_scan_skips_ties_and_keeps_the_split() {
+        let inf = f64::INFINITY;
+        assert_eq!(
+            record_lows(&[0.0, inf, inf, 5.0, 3.0, 3.0, 4.0, 2.0, 2.0]),
+            vec![3, 4, 7]
+        );
+        assert!(record_lows(&[0.0, inf, inf]).is_empty());
+
+        // A third of the price at three times the latency: each rung costs
+        // the same on both classes, first on the fast one. Past its top
+        // rung every window costs the same again.
+        let dag = HeteroQueryDag::new(vec![
+            HeteroQueryStage {
+                name: "X".into(),
+                candidates: vec![cand(model_x(), "fast", 3.0), cand(slow_x(), "slow", 1.0)],
+                children: vec![(1, 1.0)],
+            },
+            HeteroQueryStage {
+                name: "Y".into(),
+                candidates: vec![cand(slow_y(), "cheap", 0.9)],
+                children: vec![],
+            },
+        ]);
+        for slo_ms in [150, 200, 250, 400] {
+            let slo = Micros::from_millis(slo_ms);
+            let split = optimize_hetero_split(&dag, slo, 100.0, 50);
+            assert!(split.is_some(), "feasible at {slo_ms} ms");
+            assert_eq!(
+                split,
+                reference::optimize_hetero_split(&dag, slo, 100.0, 50)
+            );
+            let single = first_candidate_tree(&dag);
+            assert_eq!(
+                optimize_latency_split(&single, slo, 100.0, 50),
+                reference::optimize_latency_split(&single, slo, 100.0, 50)
+            );
         }
     }
 
@@ -1376,6 +1486,22 @@ mod tests {
         ) {
             let root_rate = if rate_kind == 0 { 0.0 } else { root_rate };
             dps_match_reference(&raw, slo_ms, root_rate, [1u32, 7, 50, 120][segments_idx])?;
+        }
+
+        /// `ladder_throughput_table_matches_the_rung_scan` at 2048 cases.
+        #[test]
+        #[ignore = "2048 cases; run with --release -- --ignored"]
+        fn ladder_throughput_table_matches_the_rung_scan_2048(
+            alpha_us in 0.5f64..3_000.0,
+            beta_us in 10.0f64..80_000.0,
+            batch_kind in 0u32..4,
+            max_batch in 2u32..130,
+            rate_kind in 0u32..5,
+            rate in 0.5f64..2_000.0,
+            steps in 1usize..300,
+        ) {
+            let rate = if rate_kind == 0 { 0.0 } else { rate };
+            walk_matches_rung_scan(alpha_us, beta_us, batch_kind, max_batch, rate, steps)?;
         }
     }
 }

@@ -5,15 +5,13 @@
 //! event queue ([`EventQueue`]), simulated devices that execute batched
 //! model invocations at profile-derived latencies under memory constraints
 //! ([`SimGpu`]), the uncoordinated-sharing interference model behind the
-//! Fig. 14 comparisons ([`InterferenceModel`]), and CPU/GPU round timing
-//! with or without overlapped processing ([`round`]).
+//! Fig. 14 comparisons ([`InterferenceModel`]).
 
 pub mod calendar;
 pub mod engine;
 pub mod fault;
 pub mod gpu;
 pub mod interference;
-pub mod round;
 pub mod runner;
 
 #[cfg(test)]
@@ -24,5 +22,4 @@ pub use engine::EventQueue;
 pub use fault::{FaultKind, FaultSchedule, FaultSpec, FleetHealth, PollOutcome};
 pub use gpu::{Execution, GpuError, ResidentKey, SimGpu};
 pub use interference::InterferenceModel;
-pub use round::{max_batch_within_round, round_timing, RoundTiming, DEFAULT_CPU_WORKERS};
 pub use runner::SimBatchRunner;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Hostile-input gate for the two binaries that read operator-supplied JSON
 # (needs the release build): a file of 100 000 `[` and a workload file per
-# out-of-range value must each end in exit 1 with `error: ...` on stderr.
+# out-of-range value must each end in exit 1 with `error: ...` on stderr,
+# and an unknown flag to a figure binary in exit 2 with `error: ...`.
 # Before the checks existed these inputs ended in a panic (101), a stack
 # overflow (134), or a hang or an OOM kill (124 under `timeout 20`). The
 # rows are the ones `out_of_range_values_are_typed_errors` drives through
@@ -13,16 +14,22 @@ bin="${CARGO_TARGET_DIR:-target}/release"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# expect_error <what> <command...>
-expect_error() {
-  local what="$1" rc=0
-  shift
+# expect_exit <code> <what> <command...>
+expect_exit() {
+  local want="$1" what="$2" rc=0
+  shift 2
   timeout 20 "$@" >/dev/null 2>"$tmp/stderr" || rc=$?
-  if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$tmp/stderr"; then
-    echo "FAIL: $what: exit $rc, stderr: $(head -c 300 "$tmp/stderr")" >&2
+  if [ "$rc" -ne "$want" ] || ! grep -q '^error:' "$tmp/stderr"; then
+    echo "FAIL: $what: exit $rc (want $want), stderr: $(head -c 300 "$tmp/stderr")" >&2
     exit 1
   fi
 }
+
+# expect_error <what> <command...>
+expect_error() { expect_exit 1 "$@"; }
+
+# A malformed command line to a figure binary is a usage error: exit 2.
+expect_exit 2 "fig4_latency_split --bogus" "$bin/fig4_latency_split" --bogus
 
 head -c 100000 /dev/zero | tr '\0' '[' >"$tmp/deep.json"
 expect_error "nexus-trace summarize on 100000 '['" \
@@ -55,4 +62,4 @@ done <<'EOF'
 -1|"app": "game", "rate": 10.0
 5|"app": "x", "model": "resnet50", "slo_ms": 0, "rate": 1.0
 EOF
-echo "hostile inputs OK: $((n + 2)) files, each exit 1 with a typed error"
+echo "hostile inputs OK: $((n + 2)) files, each exit 1 with a typed error; one bad flag, exit 2"
