@@ -122,8 +122,11 @@ pub struct AdmissionGate {
     slo: SessionSlo,
     /// λ* from the analytic model, requests/µs.
     sustainable: f64,
-    /// EWMA of the arrival rate, requests/µs. 0 until two arrivals seen.
-    rate: f64,
+    /// Mean inter-arrival gap, µs: a plain mean over the first
+    /// [`WARMUP_GAPS`] gaps, an EWMA after them.
+    gap: f64,
+    /// Inter-arrival gaps seen so far.
+    gaps: u64,
     last_arrival: Option<Micros>,
     /// Thinning credit: each arrival earns `λ*/λ`; admission spends 1.
     credit: f64,
@@ -135,7 +138,18 @@ pub struct AdmissionGate {
 /// EWMA weight for each new inter-arrival sample. Small enough to ride
 /// out single-packet jitter, large enough to track a rate step within a
 /// few tens of arrivals.
+///
+/// The gate averages *gaps* and inverts the mean, not the other way
+/// round. The mean of `1/gap` is dominated by the shortest gaps (for
+/// Poisson arrivals it has no finite value at all), so two submits a
+/// microsecond apart after a scheduling stall would read as an
+/// overload and shed polite traffic.
 const RATE_ALPHA: f64 = 0.05;
+
+/// Gaps the gate sees before it judges overload: `1/RATE_ALPHA`, the
+/// EWMA's memory. Fewer arrivals cannot tell a sustained rate from one
+/// burst, so they are all admitted (the doomed check still applies).
+const WARMUP_GAPS: u64 = 20;
 
 impl AdmissionGate {
     /// A gate for one session.
@@ -144,7 +158,8 @@ impl AdmissionGate {
         AdmissionGate {
             slo,
             sustainable,
-            rate: 0.0,
+            gap: 0.0,
+            gaps: 0,
             last_arrival: None,
             credit: 0.0,
             admitted: 0,
@@ -163,9 +178,14 @@ impl AdmissionGate {
         self.sustainable
     }
 
-    /// Current arrival-rate estimate, requests/µs.
+    /// Current arrival-rate estimate, requests/µs: the inverse of the
+    /// mean inter-arrival gap. 0 until two arrivals are seen.
     pub fn observed_rate(&self) -> f64 {
-        self.rate
+        if self.gaps == 0 {
+            0.0
+        } else {
+            1.0 / self.gap
+        }
     }
 
     /// Counters: (admitted, dropped doomed, shed by the overload gate).
@@ -178,11 +198,9 @@ impl AdmissionGate {
         // Rate estimate first: every arrival is load, even one we drop.
         if let Some(last) = self.last_arrival {
             let dt = now.saturating_sub(last).as_micros().max(1) as f64;
-            self.rate = if self.rate == 0.0 {
-                1.0 / dt
-            } else {
-                (1.0 - RATE_ALPHA) * self.rate + RATE_ALPHA / dt
-            };
+            self.gaps += 1;
+            let weight = RATE_ALPHA.max(1.0 / self.gaps as f64);
+            self.gap += weight * (dt - self.gap);
         }
         self.last_arrival = Some(now);
 
@@ -193,8 +211,9 @@ impl AdmissionGate {
         }
 
         // Overload gate: thin to λ* when the observed rate exceeds it.
-        if self.rate > self.sustainable && self.sustainable > 0.0 {
-            self.credit += self.sustainable / self.rate;
+        let rate = self.observed_rate();
+        if self.gaps >= WARMUP_GAPS && rate > self.sustainable && self.sustainable > 0.0 {
+            self.credit += self.sustainable / rate;
             if self.credit >= 1.0 {
                 self.credit -= 1.0;
             } else {
@@ -290,6 +309,29 @@ mod tests {
             (0.2..=0.35).contains(&frac),
             "admitted fraction {frac} should approach 1/4"
         );
+    }
+
+    #[test]
+    fn bursts_inside_a_polite_rate_are_never_shed() {
+        // 8 clients released together, then paced 5 ms apart; after each
+        // scheduling stall all 8 submits land within a few microseconds.
+        let slo = SessionSlo {
+            slo: Micros::from_millis(250),
+            ell_min: Micros::from_micros(200),
+            ell_b: Micros::from_micros(400),
+            batch: 32,
+        };
+        let mut gate = AdmissionGate::new(slo);
+        let mut now = Micros::from_secs(1);
+        for _round in 0..10 {
+            for _client in 0..8 {
+                now += Micros::from_micros(2);
+                assert_eq!(gate.admit(now, now + slo.slo), Decision::Admit);
+            }
+            now += Micros::from_millis(5);
+        }
+        assert!(gate.observed_rate() < gate.sustainable_rate());
+        assert_eq!(gate.counters(), (80, 0, 0));
     }
 
     #[test]

@@ -22,7 +22,11 @@ fn a_quiet_run_completes_everything_and_shuts_down_clean() {
     .expect("soak runs");
     assert!(report.passed(), "{:?}", report.violation());
     assert_eq!(report.stats.submitted, 80);
-    assert_eq!(report.stats.completed, 80, "no chaos, no drops");
+    assert_eq!(
+        report.stats.completed, 80,
+        "no chaos, no drops: {:?}",
+        report.stats
+    );
     assert_eq!(report.applied_epochs, vec![1]);
     assert_eq!(report.stats.budget_violations, 0);
 }
