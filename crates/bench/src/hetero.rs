@@ -22,7 +22,7 @@ pub struct Fleet {
 }
 
 /// Hourly dollar proxy of a fleet: Σ pool size × device hourly price.
-pub fn hourly_cost(pools: &[DevicePool]) -> f64 {
+fn hourly_cost(pools: &[DevicePool]) -> f64 {
     pools
         .iter()
         .map(|p| f64::from(p.gpus) * p.device.hourly_price_usd)

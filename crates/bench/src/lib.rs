@@ -9,7 +9,7 @@ pub mod hetero;
 pub mod par;
 pub mod workload_file;
 
-pub use par::{par_map, thread_count};
+pub use par::par_map;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads: `NEXUS_BENCH_THREADS` if set (0 or 1 forces
 /// serial), otherwise the machine's available parallelism.
-pub fn thread_count() -> usize {
+fn thread_count() -> usize {
     if let Ok(v) = std::env::var("NEXUS_BENCH_THREADS") {
         return v
             .trim()

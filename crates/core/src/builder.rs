@@ -36,20 +36,6 @@ pub struct NexusClusterBuilder {
     faults: Vec<FaultSpec>,
 }
 
-/// Per-session serving parameters derived from a control plan — what a
-/// networked front door ([`nexus_serve`]) needs to admit and route for a
-/// deployment planned by this crate's scheduler. Produced by
-/// [`NexusCluster::serve_specs`].
-#[derive(Debug, Clone)]
-pub struct ServeSpec {
-    /// One [`nexus_serve::SessionSlo`] per planned session, indexed by
-    /// the session ids routing tables use.
-    pub slos: Vec<nexus_serve::SessionSlo>,
-    /// `routes[session]` = backend (GPU) indices hosting the session in
-    /// the initial allocation — the natural epoch-1 routing table.
-    pub routes: Vec<Vec<u32>>,
-}
-
 impl NexusCluster {
     /// Starts building a cluster with full-Nexus defaults on GTX 1080Ti
     /// devices (the paper's 16-GPU case-study hardware).
@@ -70,56 +56,6 @@ impl NexusCluster {
     /// Runs the simulation to completion.
     pub fn simulate(self) -> SimResult {
         ClusterSim::new(self.config, self.classes).run()
-    }
-
-    /// Access the underlying simulator (e.g. to inspect the control plan
-    /// before running).
-    pub fn into_sim(self) -> ClusterSim {
-        ClusterSim::new(self.config, self.classes)
-    }
-
-    /// Derives the serving front door's per-session parameters from the
-    /// scheduler's control plan: the SLO and execution latencies feed the
-    /// admission gate, the initial allocation becomes the epoch-1 routing
-    /// table. This is the bridge from "planned in simulation" to "served
-    /// over the network" — the same plan that drives the simulator
-    /// configures `nexus-serve` frontends.
-    pub fn serve_specs(self) -> ServeSpec {
-        let sim = self.into_sim();
-        let plan = sim.control_plan();
-        let slos = plan
-            .sessions
-            .iter()
-            .map(|s| {
-                // The batch the packer chose for this session (largest
-                // across hosting GPUs), falling back to the SLO-feasible
-                // maximum when the allocation does not host it.
-                let planned_batch = plan
-                    .iter_plans()
-                    .flat_map(|p| &p.entries)
-                    .filter(|e| e.session == s.id)
-                    .map(|e| e.batch)
-                    .max()
-                    .unwrap_or_else(|| s.exec_profile.max_batch_for_slo(s.budget).max(1));
-                nexus_serve::SessionSlo {
-                    slo: s.budget,
-                    // Smallest-feasible-rung latency from the execution
-                    // ladder (equals ℓ(1) while ladders keep a bottom rung
-                    // of one): the true execution floor for doomed checks.
-                    ell_min: nexus_profile::BatchLadder::from_profile(&s.exec_profile)
-                        .min_latency(),
-                    ell_b: s.exec_profile.latency(planned_batch.max(1)),
-                    batch: planned_batch.max(1),
-                }
-            })
-            .collect();
-        let mut routes = vec![Vec::new(); plan.sessions.len()];
-        for (gpu, p) in plan.iter_plans().enumerate() {
-            for e in &p.entries {
-                routes[e.session.0 as usize].push(gpu as u32);
-            }
-        }
-        ServeSpec { slos, routes }
     }
 }
 
@@ -200,9 +136,9 @@ impl NexusClusterBuilder {
     ///
     /// Panics if no traffic class was added or the cluster has no GPUs.
     /// A warm-up that does not end before the horizon panics when the
-    /// simulator is constructed ([`NexusCluster::simulate`],
-    /// [`NexusCluster::into_sim`]) — `horizon_secs` clamps the warm-up
-    /// only when it is called after `warmup_secs`.
+    /// simulator is constructed ([`NexusCluster::simulate`]) —
+    /// `horizon_secs` clamps the warm-up only when it is called after
+    /// `warmup_secs`.
     pub fn build(self) -> NexusCluster {
         assert!(!self.classes.is_empty(), "add at least one app");
         assert!(self.gpus >= 1, "cluster needs at least one GPU");
@@ -306,28 +242,5 @@ mod tests {
             .horizon_secs(5)
             .warmup_secs(10)
             .simulate();
-    }
-
-    #[test]
-    fn serve_specs_cover_every_planned_session() {
-        let spec = NexusCluster::builder()
-            .gpus(4)
-            .app(apps::dance(), 20.0)
-            .horizon_secs(8)
-            .seed(3)
-            .build()
-            .serve_specs();
-        assert!(!spec.slos.is_empty());
-        assert_eq!(spec.slos.len(), spec.routes.len());
-        for (s, routes) in spec.slos.iter().zip(&spec.routes) {
-            // The admission gate's inputs must be coherent: a planned
-            // session has positive latencies, a batch its SLO can hold,
-            // and at least one backend hosting it.
-            assert!(s.ell_min > nexus_profile::Micros::ZERO);
-            assert!(s.ell_b >= s.ell_min);
-            assert!(s.batch >= 1);
-            assert!(s.slo > nexus_profile::Micros::ZERO);
-            assert!(!routes.is_empty(), "planned session with no backend");
-        }
     }
 }

@@ -41,7 +41,7 @@ pub mod builder;
 pub mod experiment;
 pub mod workloads;
 
-pub use builder::{NexusCluster, NexusClusterBuilder, ServeSpec};
+pub use builder::{NexusCluster, NexusClusterBuilder};
 pub use experiment::{max_rate_within, measure_throughput, run_once, ThroughputSearch};
 
 // Re-export the component crates under stable names.
@@ -56,7 +56,7 @@ pub use nexus_workload;
 
 /// The most commonly used types, for glob import.
 pub mod prelude {
-    pub use crate::builder::{NexusCluster, NexusClusterBuilder, ServeSpec};
+    pub use crate::builder::{NexusCluster, NexusClusterBuilder};
     pub use crate::experiment::{measure_throughput, run_once, ThroughputSearch};
     pub use nexus_profile::{BatchingProfile, DeviceType, Micros, GPU_GTX1080TI, GPU_K80};
     pub use nexus_runtime::{

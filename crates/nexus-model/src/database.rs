@@ -6,7 +6,7 @@
 //! it shares prefixes with — the information the epoch scheduler uses to
 //! form prefix-batched sessions.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +62,7 @@ impl std::error::Error for DatabaseError {}
 #[derive(Debug, Clone, Default)]
 pub struct ModelDatabase {
     models: Vec<StoredModel>,
-    by_name: HashMap<String, ModelId>,
+    names: HashSet<String>,
 }
 
 impl ModelDatabase {
@@ -80,46 +80,16 @@ impl ModelDatabase {
         schema: ModelSchema,
         profile: BatchingProfile,
     ) -> Result<ModelId, DatabaseError> {
-        if self.by_name.contains_key(schema.name()) {
+        if !self.names.insert(schema.name().to_string()) {
             return Err(DatabaseError::DuplicateName(schema.name().to_string()));
         }
         let id = ModelId(self.models.len() as u32);
-        self.by_name.insert(schema.name().to_string(), id);
         self.models.push(StoredModel {
             id,
             schema,
             profile,
         });
         Ok(id)
-    }
-
-    /// Ingests a new *version* of an existing model name (the versioning
-    /// machinery §3 credits TensorFlow Serving with): the name now resolves
-    /// to the new id, while the old version stays resident for sessions
-    /// still pinned to its [`ModelId`].
-    pub fn ingest_version(
-        &mut self,
-        schema: ModelSchema,
-        profile: BatchingProfile,
-    ) -> Result<ModelId, DatabaseError> {
-        let name = schema.name().to_string();
-        let id = ModelId(self.models.len() as u32);
-        self.models.push(StoredModel {
-            id,
-            schema,
-            profile,
-        });
-        self.by_name.insert(name, id);
-        Ok(id)
-    }
-
-    /// All ids that ever carried `name`, oldest first.
-    pub fn versions_of(&self, name: &str) -> Vec<ModelId> {
-        self.models
-            .iter()
-            .filter(|m| m.schema.name() == name)
-            .map(|m| m.id)
-            .collect()
     }
 
     /// Number of ingested models.
@@ -139,13 +109,6 @@ impl ModelDatabase {
             .ok_or(DatabaseError::UnknownModel(id))
     }
 
-    /// Looks up a model by name.
-    pub fn get_by_name(&self, name: &str) -> Option<&StoredModel> {
-        self.by_name
-            .get(name)
-            .map(|&id| &self.models[id.0 as usize])
-    }
-
     /// All stored models.
     pub fn models(&self) -> &[StoredModel] {
         &self.models
@@ -154,7 +117,7 @@ impl ModelDatabase {
     /// Finds prefix groups among an arbitrary subset of stored models.
     ///
     /// Group member indices are translated back to [`ModelId`]s.
-    pub fn prefix_groups_among(
+    fn prefix_groups_among(
         &self,
         ids: &[ModelId],
     ) -> Result<Vec<(PrefixGroup, Vec<ModelId>)>, DatabaseError> {
@@ -201,8 +164,13 @@ mod tests {
         let (db, ids) = db_with_variants();
         assert_eq!(db.len(), 4);
         assert_eq!(ids, vec![ModelId(0), ModelId(1), ModelId(2), ModelId(3)]);
-        assert_eq!(db.get_by_name("resnet50-game2").unwrap().id, ModelId(2));
-        assert!(db.get_by_name("missing").is_none());
+        assert_eq!(db.get(ModelId(2)).unwrap().schema.name(), "resnet50-game2");
+        // Names resolve: an ingested name is taken, a new one is not.
+        let profile = RESNET50.profile_1080ti();
+        let taken = zoo::resnet50().specialize("resnet50-game2", 1, 9);
+        assert!(db.clone().ingest(taken, profile.clone()).is_err());
+        let fresh = zoo::resnet50().specialize("missing", 1, 9);
+        assert!(db.clone().ingest(fresh, profile).is_ok());
     }
 
     #[test]
@@ -222,25 +190,6 @@ mod tests {
             db.get(ModelId(5)).unwrap_err(),
             DatabaseError::UnknownModel(ModelId(5))
         );
-    }
-
-    #[test]
-    fn versioning_updates_name_resolution_keeping_old_ids() {
-        let mut db = ModelDatabase::new();
-        let base = zoo::resnet50();
-        let profile = RESNET50.profile_1080ti();
-        let v1 = db.ingest(base.clone(), profile.clone()).unwrap();
-        // A retrained deployment of the same name.
-        let retrained = base.specialize("tmp", 1, 42);
-        let mut layers = retrained.layers().to_vec();
-        let renamed = crate::schema::ModelSchema::new("resnet50", std::mem::take(&mut layers));
-        let v2 = db.ingest_version(renamed, profile).unwrap();
-        assert_ne!(v1, v2);
-        // The name resolves to the latest version.
-        assert_eq!(db.get_by_name("resnet50").unwrap().id, v2);
-        // The old version remains addressable.
-        assert!(db.get(v1).is_ok());
-        assert_eq!(db.versions_of("resnet50"), vec![v1, v2]);
     }
 
     #[test]

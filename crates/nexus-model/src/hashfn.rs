@@ -28,12 +28,12 @@ impl Fnv1a {
     }
 
     /// Absorbs a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
     /// Absorbs a `u32` in little-endian byte order.
-    pub fn write_u32(&mut self, v: u32) {
+    pub(crate) fn write_u32(&mut self, v: u32) {
         self.write(&v.to_le_bytes());
     }
 

@@ -67,22 +67,8 @@ pub enum LayerKind {
 }
 
 impl LayerKind {
-    /// Short operator mnemonic used in schema display.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            LayerKind::Input { .. } => "input",
-            LayerKind::Conv { .. } => "conv",
-            LayerKind::Fc { .. } => "fc",
-            LayerKind::Pool { .. } => "pool",
-            LayerKind::ResidualBlock { .. } => "res",
-            LayerKind::InceptionBlock { .. } => "incep",
-            LayerKind::DetectionHead { .. } => "det",
-            LayerKind::Softmax { .. } => "softmax",
-        }
-    }
-
     /// Feeds the structural identity of the operator into `hasher`.
-    pub fn hash_structure(&self, hasher: &mut Fnv1a) {
+    fn hash_structure(&self, hasher: &mut Fnv1a) {
         match *self {
             LayerKind::Input {
                 channels,
@@ -164,7 +150,7 @@ impl Layer {
     /// identical operator, shape, weight footprint, and trained weights.
     /// Parameter bytes and FLOPs stand in for the weight tensor contents,
     /// which this reproduction does not materialize.
-    pub fn hash_identity(&self, hasher: &mut Fnv1a) {
+    pub(crate) fn hash_identity(&self, hasher: &mut Fnv1a) {
         self.kind.hash_structure(hasher);
         hasher.write_u64(self.param_bytes);
         hasher.write_u64(self.gflops.to_bits());
@@ -217,7 +203,5 @@ mod tests {
         );
         let pool = Layer::new(LayerKind::Pool { window: 3 }, 0, 0.0);
         assert_ne!(hash_of(&conv), hash_of(&pool));
-        assert_eq!(conv.kind.mnemonic(), "conv");
-        assert_eq!(pool.kind.mnemonic(), "pool");
     }
 }

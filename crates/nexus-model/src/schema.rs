@@ -83,11 +83,6 @@ impl ModelSchema {
         self.prefix_hashes[len - 1]
     }
 
-    /// Fingerprint of the whole model (structure and weights).
-    pub fn full_hash(&self) -> u64 {
-        self.prefix_hashes[self.layers.len() - 1]
-    }
-
     /// Length of the longest shared prefix with `other`, in layers.
     ///
     /// Zero means the models share nothing and cannot prefix-batch.
@@ -108,27 +103,27 @@ impl ModelSchema {
     }
 
     /// Total weight bytes.
-    pub fn total_param_bytes(&self) -> u64 {
+    pub(crate) fn total_param_bytes(&self) -> u64 {
         self.layers.iter().map(|l| l.param_bytes).sum()
     }
 
     /// Total forward compute per input, in GFLOPs.
-    pub fn total_gflops(&self) -> f64 {
+    pub(crate) fn total_gflops(&self) -> f64 {
         self.layers.iter().map(|l| l.gflops).sum()
     }
 
     /// Weight bytes in the first `len` layers.
-    pub fn prefix_param_bytes(&self, len: usize) -> u64 {
+    pub(crate) fn prefix_param_bytes(&self, len: usize) -> u64 {
         self.layers[..len].iter().map(|l| l.param_bytes).sum()
     }
 
     /// Weight bytes in the layers after the first `len`.
-    pub fn suffix_param_bytes(&self, len: usize) -> u64 {
+    pub(crate) fn suffix_param_bytes(&self, len: usize) -> u64 {
         self.layers[len..].iter().map(|l| l.param_bytes).sum()
     }
 
     /// GFLOPs in the first `len` layers.
-    pub fn prefix_gflops(&self, len: usize) -> f64 {
+    pub(crate) fn prefix_gflops(&self, len: usize) -> f64 {
         self.layers[..len].iter().map(|l| l.gflops).sum()
     }
 
@@ -139,7 +134,7 @@ impl ModelSchema {
 
     /// Fraction of total compute in the first `len` layers (0 when the model
     /// has no compute at all).
-    pub fn prefix_flops_fraction(&self, len: usize) -> f64 {
+    pub(crate) fn prefix_flops_fraction(&self, len: usize) -> f64 {
         let total = self.total_gflops();
         if total == 0.0 {
             0.0
@@ -218,7 +213,7 @@ mod tests {
     fn identical_schemas_share_everything() {
         let a = toy_schema("a");
         let b = toy_schema("b");
-        assert_eq!(a.full_hash(), b.full_hash());
+        assert_eq!(a.prefix_hash(4), b.prefix_hash(4));
         assert_eq!(a.common_prefix_len(&b), 4);
     }
 

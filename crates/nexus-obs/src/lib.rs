@@ -100,6 +100,4 @@ pub mod json {
 pub use json::{parse as parse_json, Json};
 pub use perfetto::{chrome_trace, validate_chrome_trace};
 pub use phases::{phase_stats, reconstruct, DropSpan, PhaseStats, Phases, RequestSpan};
-pub use raw::{
-    decode, encode, event_from_json, event_to_json, SchemaError, TraceFile, SCHEMA_VERSION,
-};
+pub use raw::{decode, encode, SchemaError, TraceFile, SCHEMA_VERSION};

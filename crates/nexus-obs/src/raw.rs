@@ -91,13 +91,8 @@ pub fn decode(doc: &Json) -> Result<TraceFile, SchemaError> {
     })
 }
 
-/// Encodes one event as an externally-tagged JSON object.
-pub fn event_to_json(e: &TraceEvent) -> Json {
-    e.to_value()
-}
-
 /// Decodes one externally-tagged event object.
-pub fn event_from_json(j: &Json) -> Result<TraceEvent, SchemaError> {
+fn event_from_json(j: &Json) -> Result<TraceEvent, SchemaError> {
     Deserialize::from_value(j).map_err(|e| err(e.to_string()))
 }
 

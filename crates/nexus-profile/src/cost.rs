@@ -36,7 +36,7 @@ pub struct CostRow {
 ///
 /// Returns `None` if the catalog has no measured CPU latency for the model
 /// (only Table 1's five models carry one).
-pub fn cost_row(spec: &ModelSpec) -> Option<CostRow> {
+fn cost_row(spec: &ModelSpec) -> Option<CostRow> {
     let cpu_latency_ms = spec.cpu_latency_ms?;
     Some(CostRow {
         model: spec.name.to_string(),
@@ -49,7 +49,7 @@ pub fn cost_row(spec: &ModelSpec) -> Option<CostRow> {
 }
 
 /// Lower-bound cost of 1000 invocations at peak device speed.
-pub fn peak_cost(spec: &ModelSpec, device: &DeviceType) -> f64 {
+fn peak_cost(spec: &ModelSpec, device: &DeviceType) -> f64 {
     device.peak_cost_per_invocations(spec.gflops, 1_000)
 }
 

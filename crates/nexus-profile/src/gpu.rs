@@ -27,14 +27,14 @@ pub struct DeviceType {
 
 impl DeviceType {
     /// Cost in USD of occupying this device for `seconds`.
-    pub fn cost_for_seconds(&self, seconds: f64) -> f64 {
+    fn cost_for_seconds(&self, seconds: f64) -> f64 {
         self.hourly_price_usd * seconds / 3_600.0
     }
 
     /// Lower bound on the cost of `invocations` runs of a model with
     /// `gflops` FLOPs per inference, assuming execution at peak speed
     /// (Table 1's methodology).
-    pub fn peak_cost_per_invocations(&self, gflops: f64, invocations: u64) -> f64 {
+    pub(crate) fn peak_cost_per_invocations(&self, gflops: f64, invocations: u64) -> f64 {
         let seconds = invocations as f64 * gflops / (self.peak_tflops * 1_000.0);
         self.cost_for_seconds(seconds)
     }

@@ -99,16 +99,6 @@ impl BatchLadder {
         *self.rungs.last().expect("ladder is never empty")
     }
 
-    /// Largest rung `≤ n`, with its latency. `None` iff `n == 0`.
-    pub fn largest_rung_leq(&self, n: u32) -> Option<(u32, Micros)> {
-        let idx = match self.rungs.binary_search(&n) {
-            Ok(i) => i,
-            Err(0) => return None,
-            Err(i) => i - 1,
-        };
-        Some((self.rungs[idx], self.latencies[idx]))
-    }
-
     /// Smallest rung `≥ n` (clamped to the top rung), with its latency.
     /// This is the shape a partial minibatch of `n` requests executes in.
     pub fn smallest_rung_geq(&self, n: u32) -> (u32, Micros) {
@@ -130,24 +120,6 @@ impl BatchLadder {
             return None;
         }
         Some((self.rungs[idx - 1], self.latencies[idx - 1]))
-    }
-
-    /// Greedy largest-first decomposition of `n` requests into rung-shaped
-    /// minibatches, appended to `out` (not cleared). The tail minibatch may
-    /// be partial; it is reported as the smallest rung covering it.
-    /// Returns the summed latency of the sequence.
-    pub fn decompose(&self, mut n: u32, out: &mut Vec<u32>) -> Micros {
-        let mut total = Micros::ZERO;
-        while n > 0 {
-            let (rung, lat) = match self.largest_rung_leq(n) {
-                Some(full) => full,
-                None => self.smallest_rung_geq(n),
-            };
-            out.push(rung);
-            total += lat;
-            n = n.saturating_sub(rung);
-        }
-        total
     }
 }
 
@@ -182,7 +154,7 @@ mod tests {
         assert_eq!(l.rungs(), &[1, 2, 4, 8, 12, 13, 16, 32]);
         assert_eq!(l.rung_latency(13), p.latency(13));
         assert_eq!(l.smallest_rung_geq(11).0, 12);
-        assert_eq!(l.largest_rung_leq(15).unwrap().0, 13);
+        assert_eq!(l.smallest_rung_geq(13).0, 13);
     }
 
     #[test]
@@ -195,17 +167,6 @@ mod tests {
         }
         assert_eq!(l.min_latency(), p.latency(1));
         assert_eq!(l.max_rung(), 24);
-    }
-
-    #[test]
-    fn largest_rung_leq_is_exact() {
-        let l = BatchLadder::from_profile(&profile(32));
-        assert_eq!(l.largest_rung_leq(0), None);
-        assert_eq!(l.largest_rung_leq(1).unwrap().0, 1);
-        assert_eq!(l.largest_rung_leq(3).unwrap().0, 2);
-        assert_eq!(l.largest_rung_leq(8).unwrap().0, 8);
-        assert_eq!(l.largest_rung_leq(31).unwrap().0, 16);
-        assert_eq!(l.largest_rung_leq(200).unwrap().0, 32);
     }
 
     #[test]
@@ -230,26 +191,6 @@ mod tests {
                 .find(|&&r| p.latency(r) <= budget)
                 .copied();
             assert_eq!(l.largest_rung_within(budget).map(|(r, _)| r), expect);
-        }
-    }
-
-    #[test]
-    fn decompose_conserves_and_is_largest_first() {
-        let l = BatchLadder::from_profile(&profile(32));
-        for n in 1..=96u32 {
-            let mut parts = Vec::new();
-            let total = l.decompose(n, &mut parts);
-            // Every part is a rung, capacities cover n.
-            let cap: u32 = parts.iter().sum();
-            assert!(cap >= n, "n={n} parts={parts:?}");
-            // Only the tail part may be partial.
-            let full: u32 = parts[..parts.len() - 1].iter().sum();
-            assert!(full < n, "n={n} parts={parts:?}");
-            for &p in &parts {
-                assert!(l.rungs().contains(&p));
-            }
-            let lat: Micros = parts.iter().map(|&p| l.rung_latency(p)).sum();
-            assert_eq!(lat, total);
         }
     }
 }

@@ -60,7 +60,7 @@ impl Micros {
     /// # Panics
     ///
     /// Panics if `ms` is negative or not finite.
-    pub fn from_millis_f64(ms: f64) -> Self {
+    pub(crate) fn from_millis_f64(ms: f64) -> Self {
         assert!(ms.is_finite() && ms >= 0.0, "invalid millis: {ms}");
         Micros((ms * 1_000.0).round() as u64)
     }

@@ -1034,7 +1034,7 @@ impl ClusterSim {
         let parts = self
             .mb_scratch
             .iter()
-            .map(|mb| (part_duration(s, mb.rung, interference, slowdown), mb.len));
+            .map(|mb| part_duration(s, mb.rung, interference, slowdown));
         match shared_by {
             None => {
                 b.gpu.execute_sequence(now, parts);
@@ -1042,8 +1042,8 @@ impl ClusterSim {
             // Fair-share accounting: concurrent containers time-share the
             // device.
             Some(concurrent) => {
-                for (d, items) in parts {
-                    b.gpu.accrue_shared(d / concurrent, items);
+                for d in parts {
+                    b.gpu.accrue_shared(d / concurrent);
                 }
             }
         }

@@ -202,7 +202,7 @@ impl ControlPlan {
     /// # Panics
     ///
     /// Panics if `backend` is out of range.
-    pub fn plan_of(&self, backend: usize) -> &GpuPlan {
+    pub(crate) fn plan_of(&self, backend: usize) -> &GpuPlan {
         let p = &self.pools[self.pool_of(backend)];
         &p.allocation.plans[backend - p.first_backend]
     }
@@ -212,7 +212,7 @@ impl ControlPlan {
     /// # Panics
     ///
     /// Panics if `backend` is out of range.
-    pub fn pool_of(&self, backend: usize) -> usize {
+    pub(crate) fn pool_of(&self, backend: usize) -> usize {
         self.pools
             .iter()
             .position(|p| {

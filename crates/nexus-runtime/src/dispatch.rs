@@ -64,7 +64,7 @@ pub struct MiniBatch {
 /// every policy ([`DropCause::Expired`]); otherwise the early-drop window
 /// sacrificed a still-feasible request to keep batches efficient
 /// ([`DropCause::EarlySacrifice`], §4.3).
-pub fn classify_drop(deadline: Micros, min_start: Micros) -> DropCause {
+pub(crate) fn classify_drop(deadline: Micros, min_start: Micros) -> DropCause {
     if deadline < min_start {
         DropCause::Expired
     } else {
@@ -100,12 +100,12 @@ impl SessionQueue {
     }
 
     /// Arrival-to-deadline slack of the oldest request, if any.
-    pub fn oldest_deadline(&self) -> Option<Micros> {
+    pub(crate) fn oldest_deadline(&self) -> Option<Micros> {
         self.pending.front().map(|r| r.deadline)
     }
 
     /// Arrival time of the oldest request, if any.
-    pub fn oldest_arrival(&self) -> Option<Micros> {
+    pub(crate) fn oldest_arrival(&self) -> Option<Micros> {
         self.pending.front().map(|r| r.arrival)
     }
 

@@ -21,7 +21,7 @@ pub use control::{
     build_sessions, plan, plan_pooled, ControlPlan, DevicePool, PlanError, PoolPlan, RouteTarget,
     RuntimeSession, TrafficClass,
 };
-pub use dispatch::{classify_drop, BatchPull, DropPolicy, SessionQueue};
+pub use dispatch::{BatchPull, DropPolicy, SessionQueue};
 pub use histogram::LatencyHistogram;
 pub use metrics::{ClusterMetrics, FailureRecord, SessionMetrics, TimelineBucket};
 pub use nexus_simgpu::{FaultKind, FaultSchedule, FaultSpec};

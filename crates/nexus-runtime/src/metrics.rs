@@ -39,11 +39,6 @@ impl SessionMetrics {
         self.latencies.quantile(q)
     }
 
-    /// Mean completion latency, if any request completed.
-    pub fn latency_mean(&self) -> Option<Micros> {
-        self.latencies.mean()
-    }
-
     /// The full latency histogram.
     pub fn latencies(&self) -> &LatencyHistogram {
         &self.latencies
@@ -90,7 +85,7 @@ impl FailureRecord {
 /// Pre-resolved recording slots for one pulled batch: every request in a
 /// batch shares a session and a finish time, so the session/timeline
 /// lookups can be done once and reused for each terminal record. Obtain
-/// via [`ClusterMetrics::terminal_batch`]; the indices stay valid for the
+/// via `ClusterMetrics::terminal_batch`; the indices stay valid for the
 /// rest of the run (the tables only ever grow) but only against the
 /// metrics instance that produced them.
 #[derive(Debug, Clone, Copy)]
@@ -198,7 +193,7 @@ impl ClusterMetrics {
     }
 
     /// Records a drop.
-    pub fn record_drop(&mut self, session: SessionId, t: Micros) {
+    pub(crate) fn record_drop(&mut self, session: SessionId, t: Micros) {
         self.session_mut(session).dropped += 1;
         self.bucket_mut(t).bad += 1;
     }
@@ -208,7 +203,7 @@ impl ClusterMetrics {
     /// batch. The grow-on-demand checks and the bucket division run once
     /// per batch instead of once per request; the recorded state is
     /// identical to the per-request calls.
-    pub fn terminal_batch(&mut self, session: SessionId, finish: Micros) -> TerminalBatch {
+    pub(crate) fn terminal_batch(&mut self, session: SessionId, finish: Micros) -> TerminalBatch {
         TerminalBatch {
             session: self.session_idx(session),
             bucket: self.bucket_idx(finish),
@@ -217,7 +212,7 @@ impl ClusterMetrics {
     }
 
     /// [`Self::record_completion`] against a pre-resolved [`TerminalBatch`].
-    pub fn record_completion_in(&mut self, tb: TerminalBatch, arrival: Micros, good: bool) {
+    pub(crate) fn record_completion_in(&mut self, tb: TerminalBatch, arrival: Micros, good: bool) {
         let m = &mut self.per_session[tb.session];
         if good {
             m.good += 1;
@@ -234,20 +229,20 @@ impl ClusterMetrics {
     }
 
     /// [`Self::record_drop`] against a pre-resolved [`TerminalBatch`].
-    pub fn record_drop_in(&mut self, tb: TerminalBatch) {
+    pub(crate) fn record_drop_in(&mut self, tb: TerminalBatch) {
         self.per_session[tb.session].dropped += 1;
         self.timeline[tb.bucket].bad += 1;
     }
 
     /// Records the current cluster allocation size (applies to this and all
     /// later buckets until changed).
-    pub fn record_allocation(&mut self, t: Micros, gpus: u32) {
+    pub(crate) fn record_allocation(&mut self, t: Micros, gpus: u32) {
         self.gpus_allocated = gpus;
         self.bucket_mut(t).gpus_allocated = gpus;
     }
 
     /// Opens a failure record at fault-injection time.
-    pub fn record_fault(&mut self, gpu: usize, t: Micros) {
+    pub(crate) fn record_fault(&mut self, gpu: usize, t: Micros) {
         self.failures.push(FailureRecord {
             gpu,
             fault_at: t,
@@ -259,7 +254,7 @@ impl ClusterMetrics {
 
     /// Marks the most recent undetected failure of `gpu` as detected and
     /// charges its retried/lost request counts.
-    pub fn record_detection(&mut self, gpu: usize, t: Micros, retried: u64, lost: u64) {
+    pub(crate) fn record_detection(&mut self, gpu: usize, t: Micros, retried: u64, lost: u64) {
         if let Some(f) = self
             .failures
             .iter_mut()
@@ -377,7 +372,7 @@ impl ClusterMetrics {
 
     /// Request-level bad rate restricted to terminal events in
     /// `[from, to)` — used to exclude warm-up from measurements.
-    pub fn bad_rate_in(&self, from: Micros, to: Micros) -> f64 {
+    pub(crate) fn bad_rate_in(&self, from: Micros, to: Micros) -> f64 {
         let (fb, tb) = (
             (from.as_micros() / self.bucket_width.as_micros()) as usize,
             (to.as_micros() / self.bucket_width.as_micros()) as usize,
@@ -446,7 +441,7 @@ mod tests {
         assert!(close(sm.latency_quantile(0.99).unwrap(), ms(99)));
         assert_eq!(sm.latency_quantile(1.0).unwrap(), ms(100));
         assert!(close(
-            sm.latency_mean().unwrap(),
+            sm.latencies().mean().unwrap(),
             Micros::from_micros(50_500)
         ));
     }

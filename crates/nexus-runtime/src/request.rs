@@ -137,7 +137,7 @@ impl QueryTracker {
 
     /// Registers `n` additional outstanding stage requests for `query`
     /// (children spawned by a completed parent invocation).
-    pub fn add_outstanding(&mut self, query: QueryId, n: u32) {
+    pub(crate) fn add_outstanding(&mut self, query: QueryId, n: u32) {
         if let Some(q) = self.get_mut(query) {
             q.outstanding += n;
         }

@@ -210,59 +210,15 @@ impl Trace {
     }
 
     /// Allocates the next batch id (1-based; 0 means "untraced").
-    pub fn alloc_batch_seq(&mut self) -> u64 {
+    pub(crate) fn alloc_batch_seq(&mut self) -> u64 {
         self.next_seq += 1;
         self.next_seq
     }
 
     /// The recorded events, in record order (equals time order — the
-    /// simulator emits monotonically; threaded runtimes call
-    /// [`Trace::normalize`] first).
+    /// simulator emits monotonically).
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Restores time order after capture from concurrent threads (stable,
-    /// so same-timestamp events keep their record order).
-    pub fn normalize(&mut self) {
-        self.events.sort_by_key(|e| e.time());
-    }
-
-    /// Events concerning one session.
-    pub fn for_session(&self, session: SessionId) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| match e {
-                TraceEvent::Arrival { session: s, .. }
-                | TraceEvent::Batch { session: s, .. }
-                | TraceEvent::Completion { session: s, .. }
-                | TraceEvent::Drop { session: s, .. }
-                | TraceEvent::Retry { session: s, .. } => *s == session,
-                TraceEvent::Reallocation { .. }
-                | TraceEvent::Fault { .. }
-                | TraceEvent::FailureDetected { .. }
-                | TraceEvent::Rejoin { .. } => false,
-            })
-            .collect()
-    }
-
-    /// Mean batch size per session, from the batch events.
-    pub fn mean_batch_size(&self, session: SessionId) -> Option<f64> {
-        let sizes: Vec<u32> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Batch {
-                    session: s, size, ..
-                } if *s == session => Some(*size),
-                _ => None,
-            })
-            .collect();
-        if sizes.is_empty() {
-            None
-        } else {
-            Some(f64::from(sizes.iter().sum::<u32>()) / sizes.len() as f64)
-        }
     }
 }
 
@@ -289,49 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn session_filter_and_batch_stats() {
-        let mut t = Trace::new(100);
-        t.push(TraceEvent::Batch {
-            t: ms(1),
-            backend: 0,
-            session: SessionId(0),
-            size: 4,
-            duration: ms(10),
-            rung: 4,
-            leftover: false,
-            seq: 1,
-        });
-        t.push(TraceEvent::Batch {
-            t: ms(2),
-            backend: 0,
-            session: SessionId(0),
-            size: 8,
-            duration: ms(14),
-            rung: 8,
-            leftover: false,
-            seq: 2,
-        });
-        t.push(TraceEvent::Batch {
-            t: ms(3),
-            backend: 1,
-            session: SessionId(1),
-            size: 2,
-            duration: ms(5),
-            rung: 2,
-            leftover: true,
-            seq: 3,
-        });
-        t.push(TraceEvent::Reallocation {
-            t: ms(4),
-            gpus: 2,
-            model_loads: 1,
-        });
-        assert_eq!(t.for_session(SessionId(0)).len(), 2);
-        assert_eq!(t.mean_batch_size(SessionId(0)), Some(6.0));
-        assert_eq!(t.mean_batch_size(SessionId(9)), None);
-    }
-
-    #[test]
     fn failure_events_carry_times_and_filter_correctly() {
         let mut t = Trace::new(100);
         t.push(TraceEvent::Fault {
@@ -349,8 +262,13 @@ mod tests {
         assert_eq!(t.events()[0].time(), ms(10));
         assert_eq!(t.events()[3].time(), ms(30));
         // Retry is session-scoped; the fleet events are not.
-        assert_eq!(t.for_session(SessionId(1)).len(), 1);
-        assert_eq!(t.for_session(SessionId(0)).len(), 0);
+        assert!(matches!(
+            t.events()[2],
+            TraceEvent::Retry {
+                session: SessionId(1),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -361,24 +279,6 @@ mod tests {
         t.push(TraceEvent::Rejoin { t: ms(2), gpu: 0 });
         assert_eq!(t.truncated, 1);
         assert_eq!(t.alloc_batch_seq(), 2);
-    }
-
-    #[test]
-    fn normalize_restores_time_order_stably() {
-        let mut t = Trace::new(10);
-        t.push(TraceEvent::Rejoin { t: ms(5), gpu: 1 });
-        t.push(TraceEvent::Rejoin { t: ms(2), gpu: 2 });
-        t.push(TraceEvent::Rejoin { t: ms(5), gpu: 3 });
-        t.normalize();
-        let gpus: Vec<usize> = t
-            .events()
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Rejoin { gpu, .. } => *gpu,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(gpus, vec![2, 1, 3]);
     }
 
     #[test]

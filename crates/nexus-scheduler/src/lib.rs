@@ -18,9 +18,9 @@ pub use exact::{
 };
 pub use incremental::{assign_plans, PlanAssignment};
 pub use query::{
-    even_latency_split, optimize_fork_join, optimize_hetero_split, optimize_latency_split,
-    pipeline_avg_throughput, ForkJoinQuery, ForkJoinSplit, HeteroQueryDag, HeteroQueryStage,
-    HeteroSplit, LatencySplit, QueryDag, QueryStage, StageCandidate,
+    even_latency_split, optimize_hetero_split, optimize_latency_split, pipeline_avg_throughput,
+    HeteroQueryDag, HeteroQueryStage, HeteroSplit, LatencySplit, QueryDag, QueryStage,
+    StageCandidate,
 };
 pub use session::{SessionId, SessionSpec};
 pub use squishy::{

@@ -252,76 +252,6 @@ pub fn optimize_latency_split(
     })
 }
 
-/// A fork-join query: a fork subtree (root fanning out to parallel branch
-/// chains) whose outputs are joined and fed to a continuation chain — the
-/// §6.2 case the paper solves by DP "for the case of fork-join dependency
-/// graphs" while limiting its exposition to trees.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ForkJoinQuery {
-    /// The fork part: a tree whose leaves are the join's inputs.
-    pub fork: QueryDag,
-    /// The continuation after the join, as a linear pipeline; the join
-    /// stage is its first element.
-    pub join: QueryDag,
-    /// Requests/second into the join stage per root request (typically 1:
-    /// one aggregation per frame).
-    pub join_gamma: f64,
-}
-
-/// Result of optimizing a fork-join query: budgets for the fork stages,
-/// the barrier offset at which the join may start, and budgets for the
-/// join chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ForkJoinSplit {
-    /// Budgets for the fork tree's stages.
-    pub fork_budgets: Vec<Micros>,
-    /// All fork paths complete within this offset; the join starts here.
-    pub barrier: Micros,
-    /// Budgets for the join chain's stages.
-    pub join_budgets: Vec<Micros>,
-    /// Estimated total (fractional) GPUs.
-    pub gpus: f64,
-}
-
-/// Splits a fork-join query's SLO: conditions on the barrier offset `s`
-/// (discretized like the tree DP), solving the fork tree within `s` and
-/// the join chain within `L − s` independently — the decomposition is
-/// exact because every fork→leaf path must finish before the join starts.
-///
-/// Returns `None` if no barrier placement is feasible.
-pub fn optimize_fork_join(
-    query: &ForkJoinQuery,
-    slo: Micros,
-    root_rate: f64,
-    segments: u32,
-) -> Option<ForkJoinSplit> {
-    assert!(segments >= 2, "need at least two budget segments");
-    let eps = (slo.as_micros() / u64::from(segments)).max(1);
-    let join_rate = root_rate * query.join_gamma;
-    let mut best: Option<ForkJoinSplit> = None;
-    for step in 1..u64::from(segments) {
-        let barrier = Micros::from_micros(step * eps);
-        let Some(fork) = optimize_latency_split(&query.fork, barrier, root_rate, segments) else {
-            continue;
-        };
-        let Some(join) = optimize_latency_split(&query.join, slo - barrier, join_rate, segments)
-        else {
-            // Larger barriers only shrink the join budget further.
-            break;
-        };
-        let total = fork.gpus + join.gpus;
-        if best.as_ref().is_none_or(|b| total < b.gpus) {
-            best = Some(ForkJoinSplit {
-                fork_budgets: fork.budgets,
-                barrier,
-                join_budgets: join.budgets,
-                gpus: total,
-            });
-        }
-    }
-    best
-}
-
 /// The even-split baseline used by the Fig. 11/17 comparisons: every stage
 /// on a root-to-leaf path gets an equal share of the SLO (stages at depth d
 /// of a path with D stages get `slo / D` where D is the maximum depth below
@@ -1019,96 +949,6 @@ mod tests {
         let coarse = optimize_latency_split(&dag, slo, 300.0, 10).unwrap();
         let fine = optimize_latency_split(&dag, slo, 300.0, 200).unwrap();
         assert!(fine.gpus <= coarse.gpus + 1e-9);
-    }
-
-    #[test]
-    fn fork_join_single_branch_matches_pipeline() {
-        // A fork with one branch and an empty continuation is just a
-        // pipeline; the conditioned optimum must match the tree DP closely
-        // (the barrier grid adds one extra discretization).
-        let fork = xy_pipeline(1.0);
-        let join = QueryDag::new(vec![QueryStage {
-            name: "agg".into(),
-            profile: model_y(),
-            children: vec![],
-        }]);
-        let q = ForkJoinQuery {
-            fork,
-            join,
-            join_gamma: 1.0,
-        };
-        let slo = Micros::from_millis(200);
-        let fj = optimize_fork_join(&q, slo, 300.0, 100).expect("feasible");
-        // Equivalent 3-stage pipeline.
-        let flat = QueryDag::pipeline(
-            vec![
-                ("X".into(), model_x()),
-                ("Y".into(), model_y()),
-                ("agg".into(), model_y()),
-            ],
-            &[1.0, 1.0],
-        );
-        let tree = optimize_latency_split(&flat, slo, 300.0, 100).expect("feasible");
-        assert!(
-            (fj.gpus - tree.gpus).abs() / tree.gpus < 0.10,
-            "fork-join {} vs pipeline {}",
-            fj.gpus,
-            tree.gpus
-        );
-    }
-
-    #[test]
-    fn fork_join_budgets_fit_slo() {
-        // Two parallel branches joined by an aggregator.
-        let fork = QueryDag::new(vec![
-            QueryStage {
-                name: "det".into(),
-                profile: model_x(),
-                children: vec![(1, 1.0), (2, 1.0)],
-            },
-            QueryStage {
-                name: "branch-a".into(),
-                profile: model_y(),
-                children: vec![],
-            },
-            QueryStage {
-                name: "branch-b".into(),
-                profile: model_y(),
-                children: vec![],
-            },
-        ]);
-        let join = QueryDag::new(vec![QueryStage {
-            name: "agg".into(),
-            profile: model_y(),
-            children: vec![],
-        }]);
-        let q = ForkJoinQuery {
-            fork,
-            join,
-            join_gamma: 1.0,
-        };
-        let slo = Micros::from_millis(250);
-        let fj = optimize_fork_join(&q, slo, 200.0, 80).expect("feasible");
-        // Every fork path fits inside the barrier.
-        assert!(fj.fork_budgets[0] + fj.fork_budgets[1] <= fj.barrier);
-        assert!(fj.fork_budgets[0] + fj.fork_budgets[2] <= fj.barrier);
-        // The continuation fits the remainder.
-        assert!(fj.join_budgets[0] <= slo - fj.barrier);
-        assert!(fj.gpus.is_finite());
-    }
-
-    #[test]
-    fn fork_join_infeasible_slo_is_none() {
-        let q = ForkJoinQuery {
-            fork: xy_pipeline(1.0),
-            join: QueryDag::new(vec![QueryStage {
-                name: "agg".into(),
-                profile: model_y(),
-                children: vec![],
-            }]),
-            join_gamma: 1.0,
-        };
-        assert!(optimize_fork_join(&q, Micros::from_millis(20), 100.0, 50).is_none());
     }
 
     /// Model X slowed 3× — a cheap, slow device class serving the same

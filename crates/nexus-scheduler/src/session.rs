@@ -66,12 +66,6 @@ impl SessionSpec {
     pub fn peak_throughput(&self) -> Option<f64> {
         self.profile.max_throughput_for_slo(self.slo)
     }
-
-    /// GPU-seconds per second this session needs at peak efficiency — a
-    /// lower bound on its GPU demand used by optimality comparisons (§7.4).
-    pub fn min_gpu_demand(&self) -> Option<f64> {
-        self.peak_throughput().map(|t| self.rate / t)
-    }
 }
 
 #[cfg(test)]
@@ -93,8 +87,6 @@ mod tests {
         assert!(profile.latency(b) * 2 <= Micros::from_millis(100));
         let t = s.peak_throughput().unwrap();
         assert!((t - profile.throughput(b)).abs() < 1e-9);
-        let demand = s.min_gpu_demand().unwrap();
-        assert!((demand - 300.0 / t).abs() < 1e-12);
     }
 
     #[test]
@@ -103,7 +95,6 @@ mod tests {
         let s = SessionSpec::new(SessionId(1), profile, Micros::from_millis(5), 10.0);
         assert_eq!(s.max_batch(), 0);
         assert!(s.peak_throughput().is_none());
-        assert!(s.min_gpu_demand().is_none());
     }
 
     #[test]

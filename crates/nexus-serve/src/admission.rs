@@ -62,7 +62,7 @@ pub enum Decision {
 
 impl Decision {
     /// The typed cause a dropped arrival is reported with.
-    pub fn drop_cause(self) -> Option<DropCause> {
+    pub(crate) fn drop_cause(self) -> Option<DropCause> {
         match self {
             Decision::Admit => None,
             Decision::DropDoomed => Some(DropCause::Expired),
@@ -73,7 +73,7 @@ impl Decision {
 
 /// Predicted p99 latency (µs) at arrival rate `lambda` (requests/µs).
 /// `f64::INFINITY` when the queue is unstable at that rate.
-pub fn predicted_p99_us(slo: &SessionSlo, lambda: f64) -> f64 {
+fn predicted_p99_us(slo: &SessionSlo, lambda: f64) -> f64 {
     let ell_b = slo.ell_b.as_micros() as f64;
     let b = f64::from(slo.batch.max(1));
     if lambda <= 0.0 {
@@ -91,7 +91,7 @@ pub fn predicted_p99_us(slo: &SessionSlo, lambda: f64) -> f64 {
 /// Highest arrival rate (requests/µs) whose predicted p99 fits the SLO,
 /// found by bisection — `predicted_p99_us` is strictly increasing in λ,
 /// so the feasible rates are exactly `[0, λ*]`.
-pub fn max_sustainable_rate(slo: &SessionSlo) -> f64 {
+fn max_sustainable_rate(slo: &SessionSlo) -> f64 {
     let slo_us = slo.slo.as_micros() as f64;
     let ell_b = slo.ell_b.as_micros() as f64;
     if ell_b >= slo_us {
@@ -173,14 +173,9 @@ impl AdmissionGate {
         self.slo
     }
 
-    /// λ* — the model's highest sustainable arrival rate, requests/µs.
-    pub fn sustainable_rate(&self) -> f64 {
-        self.sustainable
-    }
-
     /// Current arrival-rate estimate, requests/µs: the inverse of the
     /// mean inter-arrival gap. 0 until two arrivals are seen.
-    pub fn observed_rate(&self) -> f64 {
+    fn observed_rate(&self) -> f64 {
         if self.gaps == 0 {
             0.0
         } else {
@@ -286,7 +281,7 @@ mod tests {
     fn overload_thins_to_the_sustainable_rate() {
         let slo = slo_100ms();
         let mut gate = AdmissionGate::new(slo);
-        let lam_star = gate.sustainable_rate();
+        let lam_star = max_sustainable_rate(&gate.slo());
         // Arrivals at 4× the sustainable rate.
         let gap = Micros::from_micros((1.0 / (4.0 * lam_star)) as u64);
         let mut now = Micros::ZERO;
@@ -330,7 +325,7 @@ mod tests {
             }
             now += Micros::from_millis(5);
         }
-        assert!(gate.observed_rate() < gate.sustainable_rate());
+        assert!(gate.observed_rate() < max_sustainable_rate(&gate.slo()));
         assert_eq!(gate.counters(), (80, 0, 0));
     }
 
@@ -338,7 +333,7 @@ mod tests {
     fn a_polite_arrival_rate_is_never_shed() {
         let slo = slo_100ms();
         let mut gate = AdmissionGate::new(slo);
-        let lam_star = gate.sustainable_rate();
+        let lam_star = max_sustainable_rate(&gate.slo());
         let gap = Micros::from_micros((2.0 / lam_star) as u64); // half λ*
         let mut now = Micros::ZERO;
         for _ in 0..1000 {

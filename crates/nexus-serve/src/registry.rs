@@ -134,21 +134,13 @@ impl BackendRegistry {
 
     /// Whether the router may send work to `backend`. Everything but
     /// [`Liveness::Dead`] is routable: suspicion is a bias, not a ban.
-    pub fn routable(&self, backend: u32) -> bool {
+    pub(crate) fn routable(&self, backend: u32) -> bool {
         self.entries[backend as usize].liveness != Liveness::Dead
-    }
-
-    /// Count of currently routable backends.
-    pub fn routable_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.liveness != Liveness::Dead)
-            .count()
     }
 
     /// Records a successful probe of `backend` at `now`. Returns the
     /// transition if liveness changed.
-    pub fn record_beat(&mut self, backend: u32, now: Micros) -> Option<Transition> {
+    pub(crate) fn record_beat(&mut self, backend: u32, now: Micros) -> Option<Transition> {
         let grace = self.cfg.rejoin_grace;
         let e = &mut self.entries[backend as usize];
         let from = e.liveness;
@@ -178,7 +170,7 @@ impl BackendRegistry {
 
     /// Records a failed probe of `backend` at `now`. Returns the
     /// transition if liveness changed.
-    pub fn record_miss(&mut self, backend: u32, now: Micros) -> Option<Transition> {
+    pub(crate) fn record_miss(&mut self, backend: u32, now: Micros) -> Option<Transition> {
         let cfg = self.cfg;
         let e = &mut self.entries[backend as usize];
         let from = e.liveness;
@@ -252,7 +244,7 @@ mod tests {
         let t = r.record_miss(0, t0).expect("transition");
         assert_eq!(t.to, Liveness::Dead);
         assert!(!r.routable(0));
-        assert_eq!(r.routable_count(), 3);
+        assert_eq!((0..r.len() as u32).filter(|&b| r.routable(b)).count(), 3);
     }
 
     #[test]

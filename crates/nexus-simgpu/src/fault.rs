@@ -7,9 +7,7 @@
 //! max_gpus)`), not deployment backends — the control plane re-maps
 //! backends onto slots every reconfiguration, but hardware dies in place.
 //! Injection is fully deterministic: a [`FaultSpec`] schedule is delivered
-//! through the simulation's event queue, and the seeded
-//! [`FaultSchedule::random_crashes`] generator uses an internal SplitMix64
-//! stream so the same seed always yields the same schedule.
+//! through the simulation's event queue.
 
 use nexus_profile::Micros;
 use serde::{Deserialize, Serialize};
@@ -95,58 +93,10 @@ impl FaultSchedule {
         FaultSchedule { faults }
     }
 
-    /// Generates `count` crash/rejoin pairs over `[from, to)` on a fleet
-    /// of `slots` GPUs, deterministically from `seed`. Each crash is
-    /// followed by a rejoin `outage` later (clipped to `to`).
-    pub fn random_crashes(
-        seed: u64,
-        slots: usize,
-        from: Micros,
-        to: Micros,
-        outage: Micros,
-        count: usize,
-    ) -> Self {
-        assert!(slots > 0, "need at least one slot");
-        assert!(to > from, "empty fault window");
-        let span = (to - from).as_micros();
-        let mut state = seed ^ 0x6a09_e667_f3bc_c909;
-        let mut next = || {
-            state = splitmix64(state);
-            state
-        };
-        let mut faults = Vec::with_capacity(count * 2);
-        for _ in 0..count {
-            let at = from + Micros::from_micros(next() % span);
-            let slot = (next() % slots as u64) as usize;
-            faults.push(FaultSpec {
-                at,
-                slot,
-                kind: FaultKind::Crash,
-            });
-            let back = at + outage;
-            if back < to {
-                faults.push(FaultSpec {
-                    at: back,
-                    slot,
-                    kind: FaultKind::Rejoin,
-                });
-            }
-        }
-        FaultSchedule::new(faults)
-    }
-
     /// The time-sorted fault specs.
     pub fn specs(&self) -> &[FaultSpec] {
         &self.faults
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Health state of one physical slot.
@@ -360,25 +310,6 @@ mod tests {
         ]);
         assert_eq!(s.specs()[0].at, ms(10));
         assert_eq!(s.specs()[1].at, ms(50));
-    }
-
-    #[test]
-    fn random_schedule_is_deterministic_and_in_window() {
-        let a = FaultSchedule::random_crashes(7, 8, ms(100), ms(1_000), ms(200), 4);
-        let b = FaultSchedule::random_crashes(7, 8, ms(100), ms(1_000), ms(200), 4);
-        assert_eq!(a, b);
-        let c = FaultSchedule::random_crashes(8, 8, ms(100), ms(1_000), ms(200), 4);
-        assert_ne!(a, c, "different seeds differ");
-        for f in a.specs() {
-            assert!(f.at >= ms(100) && f.at < ms(1_200));
-            assert!(f.slot < 8);
-        }
-        let crashes = a
-            .specs()
-            .iter()
-            .filter(|f| f.kind == FaultKind::Crash)
-            .count();
-        assert_eq!(crashes, 4);
     }
 
     #[test]

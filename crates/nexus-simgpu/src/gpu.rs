@@ -70,7 +70,6 @@ pub struct SimGpu {
     busy_until: Micros,
     busy_total: Micros,
     executions: u64,
-    items_processed: u64,
 }
 
 impl SimGpu {
@@ -83,7 +82,6 @@ impl SimGpu {
             busy_until: Micros::ZERO,
             busy_total: Micros::ZERO,
             executions: 0,
-            items_processed: 0,
         }
     }
 
@@ -98,13 +96,8 @@ impl SimGpu {
     }
 
     /// Bytes of device memory free.
-    pub fn memory_free(&self) -> u64 {
+    fn memory_free(&self) -> u64 {
         self.device.memory_bytes - self.memory_used
-    }
-
-    /// Whether `key` is resident.
-    pub fn is_loaded(&self, key: ResidentKey) -> bool {
-        self.resident.contains_key(&key)
     }
 
     /// Loads `bytes` of model state under `key`, returning the virtual time
@@ -141,14 +134,8 @@ impl SimGpu {
         }
     }
 
-    /// Unloads everything (epoch reconfiguration).
-    pub fn unload_all(&mut self) {
-        self.resident.clear();
-        self.memory_used = 0;
-    }
-
     /// The earliest time a new exclusive execution may start.
-    pub fn free_at(&self) -> Micros {
+    pub(crate) fn free_at(&self) -> Micros {
         self.busy_until
     }
 
@@ -157,13 +144,12 @@ impl SimGpu {
     ///
     /// The caller supplies the duration (typically `profile.latency(b)`,
     /// possibly adjusted for interference or prefix batching).
-    pub fn execute(&mut self, start: Micros, duration: Micros, items: u32) -> Execution {
+    pub fn execute(&mut self, start: Micros, duration: Micros) -> Execution {
         let actual_start = start.max(self.busy_until);
         let finish = actual_start + duration;
         self.busy_until = finish;
         self.busy_total += duration;
         self.executions += 1;
-        self.items_processed += u64::from(items);
         Execution {
             start: actual_start,
             finish,
@@ -172,20 +158,19 @@ impl SimGpu {
 
     /// Executes a back-to-back sequence of rung-shaped minibatches in one
     /// exclusive slot (ladder execution, DESIGN.md §16): `parts` yields
-    /// `(duration, items)` per minibatch. The device is busy from
+    /// each minibatch's duration. The device is busy from
     /// `max(start, free_at)` for the summed duration with no idle gaps;
     /// each minibatch counts as its own execution for the stats.
     pub fn execute_sequence<I>(&mut self, start: Micros, parts: I) -> Execution
     where
-        I: IntoIterator<Item = (Micros, u32)>,
+        I: IntoIterator<Item = Micros>,
     {
         let actual_start = start.max(self.busy_until);
         let mut finish = actual_start;
-        for (duration, items) in parts {
+        for duration in parts {
             finish += duration;
             self.busy_total += duration;
             self.executions += 1;
-            self.items_processed += u64::from(items);
         }
         self.busy_until = finish;
         Execution {
@@ -197,10 +182,9 @@ impl SimGpu {
     /// Accrues busy time without exclusive serialization — used for
     /// time-shared (uncoordinated container) execution where `duration` is
     /// this execution's fair-share device time.
-    pub fn accrue_shared(&mut self, duration: Micros, items: u32) {
+    pub fn accrue_shared(&mut self, duration: Micros) {
         self.busy_total += duration;
         self.executions += 1;
-        self.items_processed += u64::from(items);
     }
 
     /// Total GPU-busy virtual time.
@@ -211,11 +195,6 @@ impl SimGpu {
     /// Number of batch executions performed.
     pub fn executions(&self) -> u64 {
         self.executions
-    }
-
-    /// Total inputs processed.
-    pub fn items_processed(&self) -> u64 {
-        self.items_processed
     }
 
     /// Fraction of `[0, horizon)` the GPU spent executing.
@@ -279,17 +258,20 @@ mod tests {
             .unwrap();
         g.unload(ResidentKey(1)).unwrap();
         assert_eq!(g.memory_used(), 0);
-        assert!(!g.is_loaded(ResidentKey(1)));
+        assert_eq!(
+            g.unload(ResidentKey(1)),
+            Err(GpuError::NotLoaded(ResidentKey(1)))
+        );
     }
 
     #[test]
     fn executions_serialize_on_the_device() {
         let mut g = gpu();
-        let e1 = g.execute(Micros::ZERO, Micros::from_millis(10), 4);
+        let e1 = g.execute(Micros::ZERO, Micros::from_millis(10));
         assert_eq!(e1.start, Micros::ZERO);
         assert_eq!(e1.finish, Micros::from_millis(10));
         // Requested at t=5 but the GPU is busy until t=10.
-        let e2 = g.execute(Micros::from_millis(5), Micros::from_millis(10), 4);
+        let e2 = g.execute(Micros::from_millis(5), Micros::from_millis(10));
         assert_eq!(e2.start, Micros::from_millis(10));
         assert_eq!(e2.finish, Micros::from_millis(20));
     }
@@ -297,49 +279,36 @@ mod tests {
     #[test]
     fn sequence_runs_back_to_back_and_serializes() {
         let mut g = gpu();
-        g.execute(Micros::ZERO, Micros::from_millis(10), 4);
+        g.execute(Micros::ZERO, Micros::from_millis(10));
         // Requested at t=5 but busy until t=10; three minibatches run
         // gap-free after that.
         let e = g.execute_sequence(
             Micros::from_millis(5),
             [
-                (Micros::from_millis(8), 8u32),
-                (Micros::from_millis(8), 8),
-                (Micros::from_millis(4), 2),
+                Micros::from_millis(8),
+                Micros::from_millis(8),
+                Micros::from_millis(4),
             ],
         );
         assert_eq!(e.start, Micros::from_millis(10));
         assert_eq!(e.finish, Micros::from_millis(30));
         assert_eq!(g.free_at(), Micros::from_millis(30));
         assert_eq!(g.executions(), 4);
-        assert_eq!(g.items_processed(), 22);
         assert_eq!(g.busy_total(), Micros::from_millis(30));
     }
 
     #[test]
     fn utilization_accounts_busy_time_only() {
         let mut g = gpu();
-        g.execute(Micros::ZERO, Micros::from_millis(30), 8);
-        g.execute(Micros::from_millis(70), Micros::from_millis(30), 8);
+        g.execute(Micros::ZERO, Micros::from_millis(30));
+        g.execute(Micros::from_millis(70), Micros::from_millis(30));
         let util = g.utilization(Micros::from_millis(120));
         assert!((util - 0.5).abs() < 1e-9, "util={util}");
         assert_eq!(g.executions(), 2);
-        assert_eq!(g.items_processed(), 16);
     }
 
     #[test]
     fn utilization_of_zero_horizon_is_zero() {
         assert_eq!(gpu().utilization(Micros::ZERO), 0.0);
-    }
-
-    #[test]
-    fn unload_all_resets_memory() {
-        let mut g = gpu();
-        g.load(ResidentKey(1), 100, Micros::ZERO, Micros::ZERO)
-            .unwrap();
-        g.load(ResidentKey(2), 200, Micros::ZERO, Micros::ZERO)
-            .unwrap();
-        g.unload_all();
-        assert_eq!(g.memory_used(), 0);
     }
 }

@@ -48,15 +48,6 @@ impl InterferenceModel {
         }
     }
 
-    /// Aggregate device-throughput degradation factor (≥ 1).
-    pub fn throughput_degradation(&self, concurrent: usize) -> f64 {
-        if concurrent <= 1 {
-            1.0
-        } else {
-            1.0 + self.per_peer_overhead * (concurrent as f64 - 1.0)
-        }
-    }
-
     /// Produces the batching profile a model *observes* when sharing the
     /// GPU with `concurrent − 1` uncoordinated peers.
     pub fn stretched_profile(
@@ -88,7 +79,6 @@ mod tests {
         let m = InterferenceModel::default();
         assert_eq!(m.slowdown(0), 1.0);
         assert_eq!(m.slowdown(1), 1.0);
-        assert_eq!(m.throughput_degradation(1), 1.0);
     }
 
     #[test]

@@ -95,7 +95,7 @@ proptest! {
         let mut expected_busy = 0u64;
         let mut last_finish = Micros::ZERO;
         for &d in &durations {
-            let e = gpu.execute(Micros::ZERO, Micros::from_micros(d), 1);
+            let e = gpu.execute(Micros::ZERO, Micros::from_micros(d));
             prop_assert!(e.start >= last_finish);
             prop_assert_eq!(e.finish, e.start + Micros::from_micros(d));
             last_finish = e.finish;

@@ -49,11 +49,6 @@ impl SimBatchRunner {
         self
     }
 
-    /// The GPU after profiling (for utilization inspection).
-    pub fn into_gpu(self) -> SimGpu {
-        self.gpu
-    }
-
     fn next_jitter(&mut self, base_us: u64) -> i64 {
         if self.jitter_permille == 0 {
             return 0;
@@ -74,8 +69,7 @@ impl BatchRunner for SimBatchRunner {
         let jitter = self.next_jitter(true_lat.as_micros());
         let measured = (true_lat.as_micros() as i64 + jitter).max(1) as u64;
         let start = self.gpu.free_at();
-        self.gpu
-            .execute(start, Micros::from_micros(measured), batch);
+        self.gpu.execute(start, Micros::from_micros(measured));
         Micros::from_micros(measured)
     }
 
@@ -153,7 +147,7 @@ mod tests {
             },
         )
         .unwrap();
-        let gpu = runner.into_gpu();
+        let gpu = &runner.gpu;
         assert_eq!(gpu.executions(), 16);
         assert!(gpu.busy_total() > Micros::ZERO);
     }

@@ -85,12 +85,6 @@ impl AppSpec {
         }
         depth_of(&self.stages, 0)
     }
-
-    /// Whether any stage deploys multiple variants (prefix batching
-    /// applies, the "PB" feature of Table 4).
-    pub fn uses_prefix_batching(&self) -> bool {
-        self.stages.iter().any(|s| s.variants > 1)
-    }
 }
 
 /// `game` — analyze streamed video games (§7.3.1): per frame, recognize six
@@ -123,7 +117,7 @@ pub fn game() -> AppSpec {
 /// `traffic` — street surveillance (§7.3.2, Fig. 8): SSD detects objects,
 /// cars go to GoogleNet-car, faces to VGG-Face. γ values are per-frame
 /// detection counts; rush hour multiplies them (see
-/// [`traffic_with_gamma`]). Depth 2 (QA-2).
+/// [`traffic_rush_hour`]). Depth 2 (QA-2).
 pub fn traffic() -> AppSpec {
     traffic_with_gamma(0.8, 0.15)
 }
@@ -131,7 +125,7 @@ pub fn traffic() -> AppSpec {
 /// `traffic` with explicit mean detections per frame (cars, faces) — rush
 /// hour uses higher counts (§7.3.2: "more vehicles are detected, and
 /// require follow-on analysis, on every frame").
-pub fn traffic_with_gamma(cars: f64, faces: f64) -> AppSpec {
+fn traffic_with_gamma(cars: f64, faces: f64) -> AppSpec {
     AppSpec {
         name: "traffic".to_string(),
         slo: Micros::from_millis(400),
@@ -350,10 +344,11 @@ mod tests {
 
     #[test]
     fn pb_flags_match_table4() {
-        // Table 4 marks PB for game, bb, bike, amber, logo.
+        // Table 4 marks PB for game, bb, bike, amber, logo: the apps with
+        // a stage that deploys multiple variants.
         let pb: Vec<_> = all_apps()
             .into_iter()
-            .filter(|a| a.uses_prefix_batching())
+            .filter(|a| a.stages.iter().any(|s| s.variants > 1))
             .map(|a| a.name)
             .collect::<Vec<_>>();
         assert_eq!(pb, ["game", "bb", "bike", "amber", "logo"]);

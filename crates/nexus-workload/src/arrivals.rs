@@ -139,7 +139,7 @@ impl ArrivalGen {
 }
 
 /// Samples an exponential with rate `lambda` (mean `1/lambda`), in seconds.
-pub fn exp_sample<R: Rng>(rng: &mut R, lambda: f64) -> f64 {
+fn exp_sample<R: Rng>(rng: &mut R, lambda: f64) -> f64 {
     debug_assert!(lambda > 0.0);
     // Inverse CDF; `1 - u` avoids ln(0).
     let u: f64 = rng.gen::<f64>();

@@ -12,6 +12,6 @@ pub mod zipf;
 mod proptests;
 
 pub use apps::{all_apps, AppSpec, AppStage, GammaSpec};
-pub use arrivals::{exp_sample, poisson_sample, ArrivalGen, ArrivalKind};
+pub use arrivals::{poisson_sample, ArrivalGen, ArrivalKind};
 pub use rng::{rng_for, splitmix64};
 pub use zipf::{zipf_rates, zipf_weights};
